@@ -9,7 +9,6 @@ re-run it on the carrier image and land on the identical pixel set.
 from .bmp import read_bmp, write_bmp
 from .canny import (
     CannyParams,
-    GradientField,
     detect_edges,
     gaussian_kernel,
     gradients,
@@ -19,8 +18,8 @@ from .canny import (
     sobel,
     to_masked_gray,
 )
-from .carrier import capacity_bytes, enumerate_carriers
-from .codec import StegoHeader, embed, extract, lsb_replace, pack_bits, read_header
+from .carrier import capacity_bytes, carrier_arrays
+from .codec import StegoHeader, embed, extract, pack_bits, read_header
 from .errors import (
     BadMagic,
     CapacityExceeded,
@@ -49,7 +48,6 @@ __all__ = [
     "DiffReport",
     "DimensionMismatch",
     "EdgeMap",
-    "GradientField",
     "GrayImage",
     "ImageTooNarrow",
     "ImageTooSmall",
@@ -63,15 +61,14 @@ __all__ = [
     "UnsupportedVersion",
     "ZeroDimension",
     "capacity_bytes",
+    "carrier_arrays",
     "detect_edges",
     "diff",
     "embed",
-    "enumerate_carriers",
     "extract",
     "gaussian_kernel",
     "gradients",
     "hysteresis",
-    "lsb_replace",
     "non_max_suppression",
     "pack_bits",
     "read_bmp",

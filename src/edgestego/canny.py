@@ -39,15 +39,11 @@ class CannyParams:
 
     def __post_init__(self):
         if not SIGMA_TENTHS_MIN <= self.sigma_tenths <= SIGMA_TENTHS_MAX:
-            raise ParamOutOfRange(
-                f"sigma must be 1.0..3.0, got {self.sigma_tenths / 10:.1f}"
-            )
-        if not 0 <= self.low_threshold <= 255:
-            raise ParamOutOfRange(f"low threshold must be 0..255, got {self.low_threshold}")
-        if not 0 <= self.high_threshold <= 255:
-            raise ParamOutOfRange(
-                f"high threshold must be 0..255, got {self.high_threshold}"
-            )
+            # in tenths, not sigma: a CLI value too large for a float still formats
+            raise ParamOutOfRange(f"sigma must be 1.0..3.0, got {self.sigma_tenths} tenths")
+        for name, value in (("low", self.low_threshold), ("high", self.high_threshold)):
+            if not 0 <= value <= 255:
+                raise ParamOutOfRange(f"{name} threshold must be 0..255, got {value}")
         if self.low_threshold > self.high_threshold:
             raise ParamOutOfRange(
                 f"low threshold {self.low_threshold} exceeds high {self.high_threshold}"
@@ -66,15 +62,10 @@ class CannyParams:
         return cls(tenths, low_threshold, high_threshold)
 
 
-@dataclass
-class GradientField:
-    """Per-pixel gradient data: 0..255 magnitudes and quantized directions.
-
-    ``direction`` holds the bin angle in degrees (0, 45, 90 or 135).
-    """
-
-    magnitude: np.ndarray
-    direction: np.ndarray
+def check_min_size(image: RgbImage):
+    """Raise ImageTooSmall unless ``image`` covers the 3x3 Sobel window."""
+    if image.width < 3 or image.height < 3:
+        raise ImageTooSmall(f"need at least 3x3 pixels, got {image.width}x{image.height}")
 
 
 def _round_half_up(values: np.ndarray) -> np.ndarray:
@@ -139,17 +130,14 @@ def sobel(smoothed: GrayImage) -> tuple[np.ndarray, np.ndarray]:
     return gx, gy
 
 
-def gradients(smoothed: GrayImage) -> GradientField:
+def gradients(smoothed: GrayImage) -> tuple[np.ndarray, np.ndarray]:
     """Sobel magnitude rescaled to 0..255 plus the quantized gradient direction.
 
-    Directions are binned to the nearest of 0/45/90/135 degrees (boundaries
-    at odd multiples of 22.5). Magnitudes are rounded, then rescaled against
-    the image maximum so the two thresholds live on a fixed 0..255 scale.
+    Returns uint8 (magnitude, direction); ``direction`` holds the bin angle in
+    degrees, the nearest of 0/45/90/135 (boundaries at odd multiples of 22.5).
+    Magnitudes are rounded, then rescaled against the image maximum so the
+    two thresholds live on a fixed 0..255 scale.
     """
-    if smoothed.width < 3 or smoothed.height < 3:
-        raise ImageTooSmall(
-            f"need at least 3x3 pixels, got {smoothed.width}x{smoothed.height}"
-        )
     gx, gy = sobel(smoothed)
     raw = _round_half_up(np.sqrt(gx.astype(np.float64) ** 2 + gy.astype(np.float64) ** 2))
     raw = raw.astype(np.int64)
@@ -171,7 +159,7 @@ def gradients(smoothed: GrayImage) -> GradientField:
     else:
         # exact round-half-up of 255*raw/peak in integer arithmetic
         scaled = (510 * raw + peak) // (2 * peak)
-    return GradientField(magnitude=scaled.astype(np.uint8), direction=direction)
+    return scaled.astype(np.uint8), direction
 
 
 def non_max_suppression(magnitude: np.ndarray, direction: np.ndarray) -> np.ndarray:
@@ -219,9 +207,7 @@ def detect_edges(image: RgbImage, params: CannyParams) -> EdgeMap:
     Pure and deterministic: equal image/params give bit-identical edge maps,
     and images differing only in channel bits 0..2 give the same map.
     """
-    if image.width < 3 or image.height < 3:
-        raise ImageTooSmall(f"need at least 3x3 pixels, got {image.width}x{image.height}")
+    check_min_size(image)
     smoothed = smooth(to_masked_gray(image), params)
-    field = gradients(smoothed)
-    thinned = non_max_suppression(field.magnitude, field.direction)
+    thinned = non_max_suppression(*gradients(smoothed))
     return hysteresis(thinned, params)

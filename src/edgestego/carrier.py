@@ -15,20 +15,19 @@ RESERVED_ROWS = 1  # row 0 holds the header
 BITS_PER_CARRIER = 9  # 3 LSBs in each of the 3 channels
 
 
-def _carrier_arrays(edges: EdgeMap) -> tuple[np.ndarray, np.ndarray]:
-    """Carrier coordinates as (xs, ys) arrays in row-major order."""
+def carrier_arrays(edges: EdgeMap) -> tuple[np.ndarray, np.ndarray]:
+    """All edge coordinates outside the reserved row, as (xs, ys) arrays in row-major order."""
     ys, xs = np.nonzero(edges.membership)  # np.nonzero scans row-major
     eligible = ys >= RESERVED_ROWS
     return xs[eligible], ys[eligible]
 
 
-def enumerate_carriers(edges: EdgeMap) -> list[tuple[int, int]]:
-    """All edge coordinates outside the reserved row, as ordered (x, y) pairs."""
-    xs, ys = _carrier_arrays(edges)
-    return list(zip(xs.tolist(), ys.tolist()))
+def capacity_of(carriers: int) -> int:
+    """Whole payload bytes that ``carriers`` carrier pixels hold."""
+    return BITS_PER_CARRIER * carriers // 8
 
 
 def capacity_bytes(edges: EdgeMap) -> int:
     """Whole payload bytes the carriers can hold: floor(9 * carriers / 8)."""
-    xs, _ = _carrier_arrays(edges)
-    return BITS_PER_CARRIER * xs.size // 8
+    xs, _ = carrier_arrays(edges)
+    return capacity_of(xs.size)

@@ -16,60 +16,14 @@ import numpy as np
 from . import __version__
 from .bmp import read_bmp, write_bmp
 from .canny import CannyParams, detect_edges
-from .carrier import capacity_bytes, enumerate_carriers
-from .codec import HEADER_MAGIC, HEADER_VERSION, embed, extract, read_header
-from .errors import (
-    BadMagic,
-    CapacityExceeded,
-    CorruptHeader,
-    DimensionMismatch,
-    ImageTooNarrow,
-    ImageTooSmall,
-    MalformedFile,
-    ParamOutOfRange,
-    StegoError,
-    TruncatedPayload,
-    UnsupportedFormat,
-    UnsupportedVersion,
-    ZeroDimension,
-)
+from .carrier import BITS_PER_CARRIER, capacity_of, carrier_arrays
+from .codec import HEADER_MAGIC, HEADER_VERSION, embed_at, extract, read_header
+from .errors import CorruptHeader, StegoError
 from .image import RgbImage
 from .metrics import diff
 
 EXIT_USAGE = 1
 EXIT_IO = 2
-EXIT_FORMAT = 3
-EXIT_CAPACITY = 4
-EXIT_EXTRACTION = 5
-
-_EXIT_CODES: dict[type, int] = {
-    ParamOutOfRange: EXIT_USAGE,
-    MalformedFile: EXIT_FORMAT,
-    UnsupportedFormat: EXIT_FORMAT,
-    ZeroDimension: EXIT_FORMAT,
-    ImageTooSmall: EXIT_FORMAT,
-    ImageTooNarrow: EXIT_FORMAT,
-    DimensionMismatch: EXIT_FORMAT,
-    CapacityExceeded: EXIT_CAPACITY,
-    BadMagic: EXIT_EXTRACTION,
-    UnsupportedVersion: EXIT_EXTRACTION,
-    CorruptHeader: EXIT_EXTRACTION,
-    TruncatedPayload: EXIT_EXTRACTION,
-}
-
-_REMEDIES: dict[type, str] = {
-    ParamOutOfRange: "use --sigma 1.0..3.0 and thresholds 0..255 with low <= high",
-    MalformedFile: "the input is not a readable BMP file; check the path and file contents",
-    UnsupportedFormat: "re-save the image as an uncompressed 24-bit BMP without palette or alpha",
-    ZeroDimension: "the image has no pixels; supply a real image",
-    ImageTooSmall: "the detector needs at least a 3x3 image",
-    ImageTooNarrow: "the header row needs 27 pixels; use an image at least 27 wide",
-    CapacityExceeded: "use a smaller payload, a busier image, or lower thresholds",
-    BadMagic: "this image carries no embedded header; check you have the right file",
-    UnsupportedVersion: "the carrier was made by a newer tool version; upgrade",
-    CorruptHeader: "the header bits are damaged; the carrier was modified in transit",
-    TruncatedPayload: "the carrier was altered or this is not the embedded image",
-}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -85,28 +39,22 @@ def _sigma_tenths(text: str) -> int:
         raise argparse.ArgumentTypeError(
             f"sigma must be a decimal with exactly one fractional digit (e.g. 1.5), got '{text}'"
         )
-    tenths = int(text.replace(".", ""))
-    if not 10 <= tenths <= 30:
-        raise argparse.ArgumentTypeError(f"sigma must be between 1.0 and 3.0, got {text}")
-    return tenths
+    return int(text.replace(".", ""))  # CannyParams checks the range
 
 
-def _threshold(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"threshold must be an integer, got '{text}'")
-    if not 0 <= value <= 255:
-        raise argparse.ArgumentTypeError(f"threshold must be 0..255, got {value}")
-    return value
+def _coord_count(text: str) -> int:
+    count = int(text)
+    if count < 0:
+        raise argparse.ArgumentTypeError(f"--coords must be 0 or more, got {count}")
+    return count
 
 
 def _add_param_flags(parser: argparse.ArgumentParser):
     parser.add_argument("--sigma", type=_sigma_tenths, required=True, metavar="S",
                         help="Gaussian sigma, 1.0..3.0 with one fractional digit")
-    parser.add_argument("--low", type=_threshold, required=True, metavar="T",
+    parser.add_argument("--low", type=int, required=True, metavar="T",
                         help="low threshold, 0..255")
-    parser.add_argument("--high", type=_threshold, required=True, metavar="T",
+    parser.add_argument("--high", type=int, required=True, metavar="T",
                         help="high threshold, 0..255")
 
 
@@ -126,19 +74,20 @@ def _cmd_embed(args) -> int:
     with open(args.data, "rb") as handle:
         payload = handle.read()
 
-    edges = detect_edges(cover, params)
-    carriers = enumerate_carriers(edges)
-    capacity = capacity_bytes(edges)
-    carrier = embed(cover, payload, params)
-    _save_image(args.out, carrier)
+    xs, ys = carrier_arrays(detect_edges(cover, params))
+    _save_image(args.out, embed_at(cover, payload, params, xs, ys))
 
-    print(f"carrier pixels: {len(carriers)}")
-    print(f"capacity bytes: {capacity}")
+    print(f"carrier pixels: {xs.size}")
+    print(f"capacity bytes: {capacity_of(xs.size)}")
     print(f"payload bytes: {len(payload)}")
     return 0
 
 
 def _cmd_extract(args) -> int:
+    # range-check each expectation on its own; the unset ones get in-range stand-ins
+    sigma, low, high = args.expect_sigma, args.expect_low, args.expect_high
+    CannyParams(10 if sigma is None else sigma, 0 if low is None else low, 255)
+    CannyParams(10, 0, 255 if high is None else high)
     carrier = _load_image(args.in_path)
     header = read_header(carrier)
     for flag, expected, actual in (
@@ -166,14 +115,14 @@ def _cmd_capacity(args) -> int:
     params = CannyParams(args.sigma, args.low, args.high)
     image = _load_image(args.in_path)
     edges = detect_edges(image, params)
-    carriers = enumerate_carriers(edges)
+    xs, ys = carrier_arrays(edges)
 
     print(f"edge pixels: {edges.count}")
-    print(f"carrier pixels: {len(carriers)}")
-    print(f"capacity bits: {9 * len(carriers)}")
-    print(f"capacity bytes: {capacity_bytes(edges)}")
+    print(f"carrier pixels: {xs.size}")
+    print(f"capacity bits: {BITS_PER_CARRIER * xs.size}")
+    print(f"capacity bytes: {capacity_of(xs.size)}")
     if args.coords:
-        shown = carriers[: args.coords]
+        shown = zip(xs[: args.coords].tolist(), ys[: args.coords].tolist())
         print(" ; ".join(f"({x:03d},{y:03d})" for x, y in shown))
     return 0
 
@@ -240,16 +189,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, metavar="FILE", help="recovered payload file")
     p.add_argument("--expect-sigma", type=_sigma_tenths, metavar="S",
                    help="fail if the carrier header's sigma differs")
-    p.add_argument("--expect-low", type=_threshold, metavar="T",
+    p.add_argument("--expect-low", type=int, metavar="T",
                    help="fail if the carrier header's low threshold differs")
-    p.add_argument("--expect-high", type=_threshold, metavar="T",
+    p.add_argument("--expect-high", type=int, metavar="T",
                    help="fail if the carrier header's high threshold differs")
     p.set_defaults(func=_cmd_extract)
 
     p = sub.add_parser("capacity", help="report how many bytes an image can hide")
     p.add_argument("--in", dest="in_path", required=True, metavar="BMP")
     _add_param_flags(p)
-    p.add_argument("--coords", type=int, default=0, metavar="N",
+    p.add_argument("--coords", type=_coord_count, default=0, metavar="N",
                    help="also print the first N carrier coordinates")
     p.set_defaults(func=_cmd_capacity)
 
@@ -282,12 +231,10 @@ def main(argv=None) -> int:
         print("remedy: check the file paths and permissions", file=sys.stderr)
         return EXIT_IO
     except StegoError as exc:
-        code = _EXIT_CODES.get(type(exc), EXIT_FORMAT)
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        remedy = _REMEDIES.get(type(exc))
-        if remedy:
-            print(f"remedy: {remedy}", file=sys.stderr)
-        return code
+        if exc.remedy:
+            print(f"remedy: {exc.remedy}", file=sys.stderr)
+        return exc.exit_code
 
 
 if __name__ == "__main__":

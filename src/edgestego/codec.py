@@ -25,14 +25,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .canny import CannyParams, detect_edges
-from .carrier import _carrier_arrays
+from .canny import CannyParams, check_min_size, detect_edges
+from .carrier import capacity_of, carrier_arrays
 from .errors import (
     BadMagic,
     CapacityExceeded,
     CorruptHeader,
     ImageTooNarrow,
-    ImageTooSmall,
     ParamOutOfRange,
     TruncatedPayload,
     UnsupportedVersion,
@@ -79,25 +78,13 @@ class StegoHeader:
         return cls(params, payload_len)
 
 
-def lsb_replace(value: int, n: int, bits: int) -> int:
-    """Replace the ``n`` least significant bits of an 8-bit value with ``bits``."""
-    if not 1 <= n <= 3:
-        raise ValueError(f"n must be 1..3, got {n}")
-    if not 0 <= value <= 0xFF:
-        raise ValueError(f"value must be 0..255, got {value}")
-    if not 0 <= bits < (1 << n):
-        raise ValueError(f"bits must fit in {n} bits, got {bits}")
-    return (value & ~((1 << n) - 1)) | bits
-
-
 def pack_bits(data: bytes) -> np.ndarray:
     """Serialize bytes to a 0/1 array, most significant bit of each byte first."""
     return np.unpackbits(np.frombuffer(data, dtype=np.uint8))
 
 
 def _check_geometry(image: RgbImage):
-    if image.width < 3 or image.height < 3:
-        raise ImageTooSmall(f"need at least 3x3 pixels, got {image.width}x{image.height}")
+    check_min_size(image)
     if image.width < HEADER_PIXELS:
         raise ImageTooNarrow(
             f"header row needs {HEADER_PIXELS} pixels, image is {image.width} wide"
@@ -110,15 +97,11 @@ def _write_header(pixels: np.ndarray, header: StegoHeader):
     row[:HEADER_BITS] = (row[:HEADER_BITS] & 0xFE) | bits
 
 
-def _read_header_bits(pixels: np.ndarray) -> bytes:
-    row = pixels[0].reshape(-1)
-    return np.packbits(row[:HEADER_BITS] & 1).tobytes()
-
-
 def read_header(carrier: RgbImage) -> StegoHeader:
     """Parse and validate the embedded header without touching the payload."""
     _check_geometry(carrier)
-    return StegoHeader.from_bytes(_read_header_bits(carrier.pixels))
+    row = carrier.pixels[0].reshape(-1)
+    return StegoHeader.from_bytes(np.packbits(row[:HEADER_BITS] & 1).tobytes())
 
 
 def embed(image: RgbImage, payload: bytes, params: CannyParams) -> RgbImage:
@@ -127,13 +110,19 @@ def embed(image: RgbImage, payload: bytes, params: CannyParams) -> RgbImage:
     Only bit 0 of the 27 header pixels in row 0 and bits 0..2 of the carrier
     pixels that actually receive payload are modified.
     """
+    return embed_at(image, payload, params, *carrier_arrays(detect_edges(image, params)))
+
+
+def embed_at(image: RgbImage, payload: bytes, params: CannyParams,
+             xs: np.ndarray, ys: np.ndarray) -> RgbImage:
+    """:func:`embed` for a caller that already ran the detector.
+
+    ``xs, ys`` must be ``carrier_arrays(detect_edges(image, params))``.
+    """
     _check_geometry(image)
     if len(payload) > MAX_PAYLOAD_BYTES:
         raise CapacityExceeded(required=len(payload), available=MAX_PAYLOAD_BYTES)
-
-    edges = detect_edges(image, params)
-    xs, ys = _carrier_arrays(edges)
-    capacity = 9 * xs.size // 8
+    capacity = capacity_of(xs.size)
     if len(payload) > capacity:
         raise CapacityExceeded(required=len(payload), available=capacity)
 
@@ -155,12 +144,9 @@ def embed(image: RgbImage, payload: bytes, params: CannyParams) -> RgbImage:
 
 def extract(carrier: RgbImage) -> tuple[bytes, CannyParams]:
     """Recover (payload, params) from a carrier produced by :func:`embed`."""
-    _check_geometry(carrier)
-    header = StegoHeader.from_bytes(_read_header_bits(carrier.pixels))
-
-    edges = detect_edges(carrier, header.params)
-    xs, ys = _carrier_arrays(edges)
-    capacity = 9 * xs.size // 8
+    header = read_header(carrier)
+    xs, ys = carrier_arrays(detect_edges(carrier, header.params))
+    capacity = capacity_of(xs.size)
     if header.payload_len > capacity:
         raise TruncatedPayload(
             f"header claims {header.payload_len} bytes but the carrier holds {capacity}"

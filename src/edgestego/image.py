@@ -11,102 +11,66 @@ import numpy as np
 from .errors import ZeroDimension
 
 
-class RgbImage:
+class _Grid:
+    """A validated array of shape ``_shape`` stored under the subclass's ``_field``."""
+
+    _field: str
+    _dtype: type = np.uint8
+    _shape: tuple = ("height", "width")
+    _noun = "image"
+
+    def __init__(self, array: np.ndarray):
+        array = np.asarray(array)
+        if array.ndim != len(self._shape) or array.shape[2:] != self._shape[2:]:
+            shape = ", ".join(map(str, self._shape))
+            raise ValueError(f"expected ({shape}) {self._field}, got {array.shape}")
+        if array.dtype != self._dtype:
+            raise ValueError(f"expected {np.dtype(self._dtype)} {self._field}, got {array.dtype}")
+        if array.shape[0] == 0 or array.shape[1] == 0:
+            raise ZeroDimension(f"{self._noun} must be at least 1x1")
+        setattr(self, self._field, array)
+
+    @property
+    def width(self) -> int:
+        return getattr(self, self._field).shape[1]
+
+    @property
+    def height(self) -> int:
+        return getattr(self, self._field).shape[0]
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return bool(np.array_equal(getattr(self, self._field), getattr(other, self._field)))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self.width}x{self.height})"
+
+
+class RgbImage(_Grid):
     """A 24-bit image: ``pixels`` is a (height, width, 3) uint8 array in RGB order."""
 
-    def __init__(self, pixels: np.ndarray):
-        pixels = np.asarray(pixels)
-        if pixels.ndim != 3 or pixels.shape[2] != 3:
-            raise ValueError(f"expected (height, width, 3) pixels, got {pixels.shape}")
-        if pixels.dtype != np.uint8:
-            raise ValueError(f"expected uint8 pixels, got {pixels.dtype}")
-        if pixels.shape[0] == 0 or pixels.shape[1] == 0:
-            raise ZeroDimension("image must be at least 1x1")
-        self.pixels = pixels
-
-    @property
-    def width(self) -> int:
-        return self.pixels.shape[1]
-
-    @property
-    def height(self) -> int:
-        return self.pixels.shape[0]
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, RgbImage):
-            return NotImplemented
-        return self.pixels.shape == other.pixels.shape and bool(
-            np.array_equal(self.pixels, other.pixels)
-        )
-
-    def __repr__(self) -> str:
-        return f"RgbImage({self.width}x{self.height})"
+    _field = "pixels"
+    _shape = ("height", "width", 3)
 
 
-class GrayImage:
+class GrayImage(_Grid):
     """A single-channel image: ``values`` is a (height, width) uint8 array."""
 
-    def __init__(self, values: np.ndarray):
-        values = np.asarray(values)
-        if values.ndim != 2:
-            raise ValueError(f"expected (height, width) values, got {values.shape}")
-        if values.dtype != np.uint8:
-            raise ValueError(f"expected uint8 values, got {values.dtype}")
-        if values.shape[0] == 0 or values.shape[1] == 0:
-            raise ZeroDimension("image must be at least 1x1")
-        self.values = values
-
-    @property
-    def width(self) -> int:
-        return self.values.shape[1]
-
-    @property
-    def height(self) -> int:
-        return self.values.shape[0]
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, GrayImage):
-            return NotImplemented
-        return self.values.shape == other.values.shape and bool(
-            np.array_equal(self.values, other.values)
-        )
-
-    def __repr__(self) -> str:
-        return f"GrayImage({self.width}x{self.height})"
+    _field = "values"
 
 
-class EdgeMap:
+class EdgeMap(_Grid):
     """Per-pixel edge membership: ``membership`` is a (height, width) bool array."""
 
-    def __init__(self, membership: np.ndarray):
-        membership = np.asarray(membership)
-        if membership.ndim != 2:
-            raise ValueError(f"expected (height, width) membership, got {membership.shape}")
-        if membership.dtype != np.bool_:
-            raise ValueError(f"expected bool membership, got {membership.dtype}")
-        if membership.shape[0] == 0 or membership.shape[1] == 0:
-            raise ZeroDimension("edge map must be at least 1x1")
-        self.membership = membership
-
-    @property
-    def width(self) -> int:
-        return self.membership.shape[1]
-
-    @property
-    def height(self) -> int:
-        return self.membership.shape[0]
+    _field = "membership"
+    _dtype = np.bool_
+    _noun = "edge map"
 
     @property
     def count(self) -> int:
         """Number of pixels flagged as edges."""
         return int(np.count_nonzero(self.membership))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, EdgeMap):
-            return NotImplemented
-        return self.membership.shape == other.membership.shape and bool(
-            np.array_equal(self.membership, other.membership)
-        )
 
     def __repr__(self) -> str:
         return f"EdgeMap({self.width}x{self.height}, {self.count} edges)"

@@ -7,7 +7,18 @@ import re
 import numpy as np
 import pytest
 
-from edgestego import CannyParams, RgbImage, capacity_bytes, detect_edges, read_bmp, write_bmp
+import edgestego.cli
+import edgestego.errors
+from edgestego import (
+    BadMagic,
+    CannyParams,
+    RgbImage,
+    StegoError,
+    capacity_bytes,
+    detect_edges,
+    read_bmp,
+    write_bmp,
+)
 from edgestego.cli import main
 
 
@@ -118,6 +129,15 @@ def test_capacity_coords_formatting(cover):
     assert all(re.fullmatch(r"\(\d{3},\d{3}\)", p) for p in pairs)
 
 
+def test_capacity_rejects_negative_coords(cover):
+    code, out, _ = run_cli([
+        "capacity", "--in", str(cover), "--sigma", "1.5", "--low", "5", "--high", "40",
+        "--coords", "-2",
+    ])
+    assert code == 1
+    assert out == ""
+
+
 def test_edges_renders_pure_black_and_white(tmp_path, cover):
     out_path = tmp_path / "edges.bmp"
     code, out, _ = run_cli([
@@ -169,6 +189,16 @@ def test_metrics_cover_versus_carrier(tmp_path, cover, carrier):
     assert float(re.search(r"psnr_db=([\d.]+)", line).group(1)) >= 31.22
 
 
+def test_metrics_size_mismatch_names_a_remedy(tmp_path, cover):
+    other = tmp_path / "other.bmp"
+    other.write_bytes(write_bmp(RgbImage(np.zeros((37, 40, 3), dtype=np.uint8))))
+    code, out, err = run_cli(["metrics", "--a", str(cover), "--b", str(other)])
+    assert code == 3
+    assert out == ""
+    assert "DimensionMismatch" in err
+    assert "remedy:" in err
+
+
 def test_inputs_are_never_modified(tmp_path, cover, carrier):
     carrier_path, _ = carrier
     cover_before = cover.read_bytes()
@@ -199,6 +229,21 @@ def test_usage_errors_exit_one(tmp_path, cover):
         "capacity", "--in", str(cover), "--sigma", "1.5", "--low", "5", "--high", "256",
     ])
     assert code == 1
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("--expect-sigma", "3.5"), ("--expect-sigma", "0.0"),
+    ("--expect-low", "300"), ("--expect-high", "300"), ("--expect-low", "-1"),
+])
+def test_out_of_range_expectation_is_a_usage_error(tmp_path, carrier, flag, value):
+    carrier_path, _ = carrier
+    recovered = tmp_path / "never.bin"
+    code, out, _ = run_cli([
+        "extract", "--in", str(carrier_path), "--out", str(recovered), flag, value,
+    ])
+    assert code == 1
+    assert out == ""
+    assert not recovered.exists()
 
 
 def test_low_above_high_is_a_usage_error(cover):
@@ -271,3 +316,50 @@ def test_version_flag():
     code, out, _ = run_cli(["--version"])
     assert code == 0
     assert "edgestego" in out
+
+
+# The README's exit-code table: 1 usage, 3 image format, 4 capacity, 5 extraction/header.
+README_EXIT_CODES = {
+    "ParamOutOfRange": 1,
+    "MalformedFile": 3,
+    "UnsupportedFormat": 3,
+    "ZeroDimension": 3,
+    "ImageTooSmall": 3,
+    "ImageTooNarrow": 3,
+    "DimensionMismatch": 3,
+    "CapacityExceeded": 4,
+    "BadMagic": 5,
+    "UnsupportedVersion": 5,
+    "CorruptHeader": 5,
+    "TruncatedPayload": 5,
+}
+ERROR_TYPES = sorted(
+    (obj for obj in vars(edgestego.errors).values()
+     if isinstance(obj, type) and issubclass(obj, StegoError) and obj is not StegoError),
+    key=lambda cls: cls.__name__,
+)
+
+
+def test_exit_code_table_lists_every_error():
+    assert sorted(README_EXIT_CODES) == [cls.__name__ for cls in ERROR_TYPES]
+
+
+@pytest.mark.parametrize("error", ERROR_TYPES, ids=lambda cls: cls.__name__)
+def test_every_error_carries_its_exit_code_and_a_remedy(error):
+    assert error.exit_code == README_EXIT_CODES[error.__name__]
+    assert error.remedy
+
+
+def test_error_subclass_inherits_its_parents_exit_code(monkeypatch, cover):
+    class StrayMagic(BadMagic):
+        pass
+
+    def read_header(carrier):
+        raise StrayMagic("planted")
+
+    monkeypatch.setattr(edgestego.cli, "read_header", read_header)
+    code, out, err = run_cli(["inspect", "--in", str(cover)])
+    assert code == 5
+    assert out == ""
+    assert "StrayMagic: planted" in err
+    assert f"remedy: {BadMagic.remedy}" in err

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from edgestego import (
@@ -20,7 +20,6 @@ from edgestego import (
     detect_edges,
     embed,
     extract,
-    lsb_replace,
     pack_bits,
     read_header,
 )
@@ -30,42 +29,6 @@ PARAMS = CannyParams(15, 5, 40)
 
 
 # ------------------------------------------------------------- bit plumbing
-
-
-def test_lsb_replace_walkthrough():
-    # hiding 'H' = 01001000 across the two LSBs of four bytes
-    assert lsb_replace(0b11011000, 2, 0b01) == 0b11011001
-    assert lsb_replace(0b00110110, 2, 0b00) == 0b00110100
-    assert lsb_replace(0b11001111, 2, 0b10) == 0b11001110
-    assert lsb_replace(0b10100011, 2, 0b00) == 0b10100000
-    # and reading the pairs back reassembles the byte
-    pieces = (0b01, 0b00, 0b10, 0b00)
-    recovered = (pieces[0] << 6) | (pieces[1] << 4) | (pieces[2] << 2) | pieces[3]
-    assert recovered == 0x48 == ord("H")
-
-
-@given(st.integers(0, 255))
-def test_lsb_replace_identity(value):
-    assert lsb_replace(value, 3, value & 0b111) == value
-
-
-@given(st.integers(0, 255), st.integers(1, 3), st.integers(0, 7))
-def test_lsb_replace_partitions_the_byte(value, n, bits):
-    assume(bits < (1 << n))
-    out = lsb_replace(value, n, bits)
-    assert out >> n == value >> n  # upper bits untouched
-    assert out & ((1 << n) - 1) == bits
-
-
-def test_lsb_replace_rejects_bad_arguments():
-    with pytest.raises(ValueError):
-        lsb_replace(10, 2, 4)  # bits too wide for n=2
-    with pytest.raises(ValueError):
-        lsb_replace(10, 0, 0)
-    with pytest.raises(ValueError):
-        lsb_replace(10, 4, 0)
-    with pytest.raises(ValueError):
-        lsb_replace(256, 1, 0)
 
 
 def test_pack_bits_is_msb_first():
