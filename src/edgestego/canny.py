@@ -1,11 +1,13 @@
 """Deterministic five-stage Canny edge detector over a masked grayscale projection.
 
 The detector is the shared secret between the two communicating parties, so
-every stage is pinned down exactly: floating point appears only inside the
-Gaussian kernel and the smoothing passes, and every stage boundary rounds
-back to integers. Crucially, the grayscale projection zeroes the three LSBs
-of every channel first, which makes the whole pipeline invariant under any
-payload written into those bits.
+every stage is pinned down exactly. Floating point appears only in the gray
+table (built once), the Gaussian taps, the smoothing sums (taps added in a
+fixed order) and one correctly rounded IEEE square root per pixel; directions
+are binned by integer tests and every stage rounds back to integers. The gray
+projection zeroes the three LSBs of every channel first, so the whole
+pipeline is invariant under any payload written into those bits. The hot
+stages work on blocks of ``_BLOCK_ROWS`` rows; no value depends on blocking.
 """
 
 from __future__ import annotations
@@ -21,8 +23,8 @@ from .image import EdgeMap, GrayImage, RgbImage
 
 SIGMA_TENTHS_MIN = 10
 SIGMA_TENTHS_MAX = 30
-
-_CHANNEL_MASK = 0xF8  # keep bits 7..3, zero the three payload bits
+# A float64 block 2048 pixels wide is 512 KiB: it and its temporaries fit in L2.
+_BLOCK_ROWS = 32
 
 
 @dataclass(frozen=True)
@@ -68,20 +70,37 @@ def check_min_size(image: RgbImage):
         raise ImageTooSmall(f"need at least 3x3 pixels, got {image.width}x{image.height}")
 
 
-def _round_half_up(values: np.ndarray) -> np.ndarray:
-    return np.floor(values + 0.5)
+def _row_blocks(height: int):
+    for y0 in range(0, height, _BLOCK_ROWS):
+        yield y0, min(y0 + _BLOCK_ROWS, height)
+
+
+def _masked_gray_table() -> np.ndarray:
+    """Masked gray of every channel triple, indexed by (r>>3)<<10 | (g>>3)<<5 | b>>3."""
+    levels = np.arange(32, dtype=np.float64) * 8  # a channel with bits 0..2 zeroed
+    r, g, b = np.meshgrid(levels, levels, levels, indexing="ij")
+    gray = 0.299 * r + 0.587 * g + 0.114 * b
+    return np.clip(np.floor(gray + 0.5), 0, 255).astype(np.uint8).ravel()
+
+
+_MASKED_GRAY = _masked_gray_table()
 
 
 def to_masked_gray(image: RgbImage) -> GrayImage:
     """Project to 8-bit grayscale after zeroing the three LSBs of each channel.
 
     The masking makes the result (and therefore the whole detector) identical
-    for any two images that differ only in channel bits 0..2.
+    for any two images that differ only in channel bits 0..2. The projection
+    is 0.299/0.587/0.114 luminance rounded half up, looked up per pixel in a
+    table of all 32**3 masked triples.
     """
-    masked = (image.pixels & _CHANNEL_MASK).astype(np.float64)
-    gray = 0.299 * masked[:, :, 0] + 0.587 * masked[:, :, 1] + 0.114 * masked[:, :, 2]
-    gray = np.clip(_round_half_up(gray), 0, 255)
-    return GrayImage(gray.astype(np.uint8))
+    gray = np.empty((image.height, image.width), dtype=np.uint8)
+    for y0, y1 in _row_blocks(image.height):
+        top = image.pixels[y0:y1] >> 3
+        index = (top[..., 0].astype(np.uint16) << 10) | (top[..., 1].astype(np.uint16) << 5)
+        index |= top[..., 2]
+        np.take(_MASKED_GRAY, index, out=gray[y0:y1])
+    return GrayImage(gray)
 
 
 def gaussian_kernel(sigma: float) -> np.ndarray:
@@ -94,40 +113,74 @@ def gaussian_kernel(sigma: float) -> np.ndarray:
     return kernel / kernel.sum()
 
 
-def _correlate1d_clamped(values: np.ndarray, kernel: np.ndarray, axis: int) -> np.ndarray:
-    """Single-axis correlation with clamp-to-edge borders, fixed summation order."""
-    length = values.shape[axis]
-    radius = len(kernel) // 2
-    index = np.arange(length)
-    out = np.zeros_like(values)
-    for tap, coeff in enumerate(kernel):
-        source = np.clip(index + (tap - radius), 0, length - 1)
-        out += coeff * np.take(values, source, axis=axis)
-    return out
+def _correlate(window, kernel: np.ndarray, out: np.ndarray, tmp: np.ndarray):
+    """Set ``out`` to the sum of kernel[t] * window(t), adding the taps in order."""
+    # the first product is stored as is: it equals 0.0 plus itself
+    np.multiply(window(0), kernel[0], out=out)
+    for tap in range(1, len(kernel)):
+        np.multiply(window(tap), kernel[tap], out=tmp)
+        out += tmp
 
 
 def smooth(gray: GrayImage, params: CannyParams) -> GrayImage:
-    """Separable Gaussian blur: horizontal pass, vertical pass, round to 8 bits."""
+    """Separable Gaussian blur: horizontal pass, vertical pass, round to 8 bits.
+
+    Borders clamp to the edge and each pass adds its taps in kernel order, so
+    every output pixel is one fixed float64 expression. ``rows`` holds the
+    horizontal sums a block's vertical pass reads; the last 2*radius of them
+    carry over to the next block.
+    """
     kernel = gaussian_kernel(params.sigma)
-    acc = _correlate1d_clamped(gray.values.astype(np.float64), kernel, axis=1)
-    acc = _correlate1d_clamped(acc, kernel, axis=0)
-    return GrayImage(np.clip(_round_half_up(acc), 0, 255).astype(np.uint8))
+    span, width = len(kernel) - 1, gray.width
+    padded = np.pad(gray.values, span // 2, mode="edge")
+    source = np.empty((_BLOCK_ROWS + span, width + span))
+    rows, tmp = np.empty((2, _BLOCK_ROWS + span, width))
+    acc = np.empty((_BLOCK_ROWS, width))
+    out = np.empty((gray.height, width), dtype=np.uint8)
+    for y0, y1 in _row_blocks(gray.height):
+        n, done = y1 - y0, span if y0 else 0
+        rows[:done] = rows[_BLOCK_ROWS : _BLOCK_ROWS + done]  # overlap with the full block before
+        src = source[: n + span - done]
+        src[...] = padded[y0 + done : y1 + span]
+        _correlate(lambda t: src[:, t : t + width], kernel, rows[done : n + span], tmp[: len(src)])
+        block = acc[:n]
+        _correlate(lambda t: rows[t : t + n], kernel, block, tmp[:n])
+        block += 0.5
+        out[y0:y1] = np.clip(block, 0, 255, out=block)  # the cast truncates: a floor, as >= 0
+    return GrayImage(out)
+
+
+def _sobel(window: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Integer Sobel (gx, gy) of the interior rows of an edge-padded window."""
+    dx = window[:, 2:] - window[:, :-2]
+    sy = window[:, :-2] + 2 * window[:, 1:-1] + window[:, 2:]
+    return dx[:-2] + 2 * dx[1:-1] + dx[2:], sy[:-2] - sy[2:]
 
 
 def sobel(smoothed: GrayImage) -> tuple[np.ndarray, np.ndarray]:
     """3x3 Sobel derivatives with clamp-to-edge borders.
 
-    Returns integer (gx, gy); gx grows with intensity increasing rightward,
+    Returns int32 (gx, gy); gx grows with intensity increasing rightward,
     gy with intensity increasing upward.
     """
-    v = smoothed.values.astype(np.int32)
-    p = np.pad(v, 1, mode="edge")
-    tl, tc, tr = p[:-2, :-2], p[:-2, 1:-1], p[:-2, 2:]
-    ml, mr = p[1:-1, :-2], p[1:-1, 2:]
-    bl, bc, br = p[2:, :-2], p[2:, 1:-1], p[2:, 2:]
-    gx = (tr + 2 * mr + br) - (tl + 2 * ml + bl)
-    gy = (tl + 2 * tc + tr) - (bl + 2 * bc + br)
-    return gx, gy
+    return _sobel(np.pad(smoothed.values, 1, mode="edge").astype(np.int32))
+
+
+def _direction_bins(gx: np.ndarray, gy: np.ndarray) -> np.ndarray:
+    """The nearest of 0/45/90/135 degrees to the direction of (gx, gy), exactly.
+
+    With x = |gx| and y = |gy|, the direction is within 22.5 degrees of the
+    horizontal when y < (sqrt(2) - 1) x, that is (x + y)**2 < 2 x**2, and of
+    the vertical when (x + y)**2 < 2 y**2. No nonzero integer pair lies on
+    these irrational bounds; (0, 0) meets the first with equality and bins
+    to 0. Otherwise the sign of gx*gy picks the diagonal.
+    """
+    x, y = np.abs(gx), np.abs(gy)
+    s = (x + y) ** 2
+    bins = np.where(gx * gy > 0, np.uint8(45), np.uint8(135))
+    np.copyto(bins, 90, where=s < 2 * y * y)
+    np.copyto(bins, 0, where=s <= 2 * x * x)
+    return bins
 
 
 def gradients(smoothed: GrayImage) -> tuple[np.ndarray, np.ndarray]:
@@ -138,28 +191,23 @@ def gradients(smoothed: GrayImage) -> tuple[np.ndarray, np.ndarray]:
     Magnitudes are rounded, then rescaled against the image maximum so the
     two thresholds live on a fixed 0..255 scale.
     """
-    gx, gy = sobel(smoothed)
-    raw = _round_half_up(np.sqrt(gx.astype(np.float64) ** 2 + gy.astype(np.float64) ** 2))
-    raw = raw.astype(np.int64)
+    padded = np.pad(smoothed.values, 1, mode="edge")
+    raw = np.empty(smoothed.values.shape, dtype=np.uint16)  # at most sqrt(2) * 1020
+    direction = np.empty_like(smoothed.values)
+    root = np.empty((_BLOCK_ROWS, smoothed.width))
+    for y0, y1 in _row_blocks(smoothed.height):
+        gx, gy = _sobel(padded[y0 : y1 + 2].astype(np.int32))
+        # gx**2 + gy**2 <= 2 * 1020**2 is exact in int32 and float64
+        block = np.sqrt(gx * gx + gy * gy, out=root[: y1 - y0])
+        block += 0.5
+        raw[y0:y1] = block  # the cast truncates: round half up
+        direction[y0:y1] = _direction_bins(gx, gy)
 
-    angle = np.mod(np.degrees(np.arctan2(gy, gx)), 180.0)
-    direction = np.select(
-        [
-            (angle >= 22.5) & (angle < 67.5),
-            (angle >= 67.5) & (angle < 112.5),
-            (angle >= 112.5) & (angle < 157.5),
-        ],
-        [45, 90, 135],
-        default=0,
-    ).astype(np.uint8)
-
-    peak = int(raw.max())
-    if peak == 0:
-        scaled = np.zeros_like(raw)
-    else:
-        # exact round-half-up of 255*raw/peak in integer arithmetic
-        scaled = (510 * raw + peak) // (2 * peak)
-    return scaled.astype(np.uint8), direction
+    # round-half-up of 255*raw/peak in integer arithmetic, tabulated per raw
+    # value; a flat image (peak 0) maps to all zeros
+    peak = max(int(raw.max()), 1)
+    rescale = ((510 * np.arange(peak + 1) + peak) // (2 * peak)).astype(np.uint8)
+    return rescale[raw], direction
 
 
 def non_max_suppression(magnitude: np.ndarray, direction: np.ndarray) -> np.ndarray:
@@ -173,11 +221,11 @@ def non_max_suppression(magnitude: np.ndarray, direction: np.ndarray) -> np.ndar
     up_left, up_right = p[:-2, :-2], p[:-2, 2:]
     down_left, down_right = p[2:, :-2], p[2:, 2:]
 
-    conds = [direction == 0, direction == 45, direction == 90, direction == 135]
-    first = np.select(conds, [left, up_right, up, up_left])
-    second = np.select(conds, [right, down_left, down, down_right])
-    keep = (magnitude >= first) & (magnitude >= second)
-    return np.where(keep, magnitude, 0).astype(magnitude.dtype)
+    keep = np.zeros(magnitude.shape, dtype=bool)
+    for angle, first, second in ((0, left, right), (45, up_right, down_left),
+                                 (90, up, down), (135, up_left, down_right)):
+        keep |= (direction == angle) & (magnitude >= first) & (magnitude >= second)
+    return np.where(keep, magnitude, 0).astype(magnitude.dtype, copy=False)
 
 
 def hysteresis(thinned: np.ndarray, params: CannyParams) -> EdgeMap:
@@ -189,15 +237,13 @@ def hysteresis(thinned: np.ndarray, params: CannyParams) -> EdgeMap:
     order-independent, so so is the result.
     """
     strong = thinned >= params.high_threshold
-    weak = (thinned >= params.low_threshold) & ~strong
-    candidate = strong | weak
+    candidate = thinned >= params.low_threshold  # weak or strong, as low <= high
     if not strong.any():
         return EdgeMap(np.zeros_like(candidate))
 
     labels, n_components = ndimage.label(candidate, structure=np.ones((3, 3), dtype=bool))
     keep = np.zeros(n_components + 1, dtype=bool)
-    keep[np.unique(labels[strong])] = True
-    keep[0] = False
+    keep[labels[strong]] = True  # strong pixels never carry label 0
     return EdgeMap(keep[labels])
 
 

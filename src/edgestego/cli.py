@@ -8,7 +8,10 @@ the requested output files.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import os
 import re
+import secrets
 import sys
 
 import numpy as np
@@ -63,9 +66,29 @@ def _load_image(path: str) -> RgbImage:
         return read_bmp(handle.read())
 
 
+def _write_file(path: str, data: bytes):
+    """Write ``data`` to ``path`` whole or not at all.
+
+    The bytes go to a new file in the same directory, which then replaces
+    ``path`` in one rename, so ``path`` never holds part of the output; on
+    an error (or Ctrl-C) the new file is removed again.
+    """
+    directory, name = os.path.split(os.path.abspath(path))
+    temp = os.path.join(directory, f".{name}.{secrets.token_hex(4)}.tmp")
+    # mode 0o666 less the umask, as open() gives; mkstemp would make it 0o600
+    fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with os.fdopen(fd, "wb") as handle:
+            handle.write(data)
+        os.replace(temp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(temp)
+        raise
+
+
 def _save_image(path: str, image: RgbImage):
-    with open(path, "wb") as handle:
-        handle.write(write_bmp(image))
+    _write_file(path, write_bmp(image))
 
 
 def _cmd_embed(args) -> int:
@@ -101,8 +124,7 @@ def _cmd_extract(args) -> int:
             )
 
     payload, params = extract(carrier)
-    with open(args.out, "wb") as handle:
-        handle.write(payload)
+    _write_file(args.out, payload)
 
     print(f"sigma: {params.sigma:.1f}")
     print(f"low threshold: {params.low_threshold}")

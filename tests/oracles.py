@@ -47,6 +47,33 @@ def smooth_reference(values, sigma):
     return out
 
 
+def _correlate1d_clamped(values, kernel, axis):
+    """One clamp-to-edge correlation pass, summing the taps in kernel order."""
+    length = values.shape[axis]
+    radius = len(kernel) // 2
+    index = np.arange(length)
+    out = np.zeros_like(values)
+    for tap, coeff in enumerate(kernel):
+        source = np.clip(index + (tap - radius), 0, length - 1)
+        out += coeff * np.take(values, source, axis=axis)
+    return out
+
+
+def smooth_separable_reference(values, kernel):
+    """The detector's smoothing written out plainly: an exact reference.
+
+    Horizontal pass, then vertical pass, each a float64 sum over the taps in
+    kernel order starting from 0.0, then round half up and clip to 0..255.
+    Any implementation that computes the same sums in the same order gives
+    the same bytes; a reordered sum can differ by one gray level. The taps
+    come from the caller (the package's ``gaussian_kernel``), so this checks
+    the summation, not the kernel.
+    """
+    acc = _correlate1d_clamped(values.astype(np.float64), kernel, axis=1)
+    acc = _correlate1d_clamped(acc, kernel, axis=0)
+    return np.clip(np.floor(acc + 0.5), 0, 255).astype(np.uint8)
+
+
 _SOBEL_X = ((-1, 0, 1), (-2, 0, 2), (-1, 0, 1))
 _SOBEL_Y = ((1, 2, 1), (0, 0, 0), (-1, -2, -1))  # positive response to brighter top
 

@@ -25,6 +25,7 @@ from edgestego import (
     sobel,
     to_masked_gray,
 )
+from edgestego.canny import _BLOCK_ROWS as _BLOCK, _direction_bins
 import oracles
 
 
@@ -137,6 +138,21 @@ def test_smooth_matches_direct_convolution():
         assert np.abs(ours - ref).max() <= 1
 
 
+@pytest.mark.parametrize("tenths", [10, 23, 30])
+def test_smooth_is_exactly_the_separable_sum(tenths):
+    # The detector is the shared secret, so smoothing must reproduce the
+    # separable sum byte for byte, also across the row blocks it works in:
+    # heights below the radius, around one block and past two blocks.
+    rng = np.random.default_rng(tenths)
+    kernel = gaussian_kernel(tenths / 10.0)
+    for height in (1, 2, 8, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3):
+        for width in (1, 5, 300):
+            values = rng.integers(0, 256, (height, width), dtype=np.uint8)
+            ours = smooth(_gray(values), CannyParams(tenths, 0, 255))
+            expected = oracles.smooth_separable_reference(values, kernel)
+            assert np.array_equal(ours.values, expected), (height, width)
+
+
 def test_smooth_ramp_against_reference():
     ramp = (np.arange(81).reshape(9, 9) * 3).astype(np.uint8)
     ours = smooth(_gray(ramp), CannyParams(15, 0, 255)).values.astype(int)
@@ -209,6 +225,23 @@ def test_direction_bins_match_reference():
         _, direction = gradients(_gray(values))
         gx, gy = oracles.sobel_reference(values)
         assert np.array_equal(direction, oracles.direction_reference(gx, gy))
+
+
+def test_direction_rule_matches_atan2_on_every_sobel_pair():
+    # Every (gx, gy) a 3x3 Sobel of 8-bit values can produce: the integer
+    # rule must bin exactly like the atan2-degrees rule it replaced.
+    gx, gy = np.meshgrid(np.arange(-1020, 1021), np.arange(-1020, 1021))
+    angle = np.mod(np.degrees(np.arctan2(gy, gx)), 180.0)
+    expected = np.select(
+        [(angle >= 22.5) & (angle < 67.5), (angle >= 67.5) & (angle < 112.5),
+         (angle >= 112.5) & (angle < 157.5)],
+        [45, 90, 135],
+        default=0,
+    )
+    bins = _direction_bins(gx.astype(np.int32), gy.astype(np.int32))
+    assert bins.dtype == np.uint8
+    assert np.array_equal(bins, expected)
+    assert bins[1020, 1020] == 0  # gx = gy = 0
 
 
 def test_direction_of_straight_steps():

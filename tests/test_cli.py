@@ -2,11 +2,16 @@
 
 import contextlib
 import io
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import edgestego
 import edgestego.cli
 import edgestego.errors
 from edgestego import (
@@ -273,6 +278,57 @@ def test_unwritable_output_exits_two(tmp_path, cover):
         "--out", str(tmp_path / "no" / "such" / "dir.bmp"),
     ])
     assert code == 2
+
+
+@pytest.mark.parametrize("subcommand", ["embed", "extract", "edges"])
+def test_failed_write_exits_two_and_leaves_no_file(tmp_path, cover, carrier, subcommand):
+    # --out names a directory: the final rename fails after the bytes were
+    # written, and the half-done output must not stay behind
+    data = tmp_path / "p.bin"
+    data.write_bytes(b"x")
+    target = tmp_path / "taken"
+    target.mkdir()
+    params = ["--sigma", "1.5", "--low", "5", "--high", "40"]
+    argv = {
+        "embed": ["embed", "--in", str(cover), "--data", str(data), *params],
+        "extract": ["extract", "--in", str(carrier[0])],
+        "edges": ["edges", "--in", str(cover), *params],
+    }[subcommand]
+    before = sorted(tmp_path.iterdir())
+    code, out, err = run_cli([*argv, "--out", str(target)])
+    assert code == 2
+    assert out == ""
+    assert "remedy:" in err
+    assert sorted(tmp_path.iterdir()) == before
+    assert list(target.iterdir()) == []
+
+
+def test_a_write_cut_short_keeps_the_previous_output(tmp_path, cover):
+    # A file-size limit makes the write fail part-way, as a full disk would.
+    # The output file already there must come through whole, with no
+    # partial file beside it.
+    resource = pytest.importorskip("resource")
+    data = tmp_path / "p.bin"
+    data.write_bytes(b"x")
+    out_path = tmp_path / "c.bmp"
+    out_path.write_bytes(b"previous carrier")
+    script = (
+        "import resource, signal, sys\n"
+        "from edgestego.cli import main\n"
+        "signal.signal(signal.SIGXFSZ, signal.SIG_IGN)\n"
+        "hard = resource.getrlimit(resource.RLIMIT_FSIZE)[1]\n"
+        "resource.setrlimit(resource.RLIMIT_FSIZE, (1000, hard))\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    argv = ["embed", "--in", str(cover), "--data", str(data),
+            "--sigma", "1.5", "--low", "5", "--high", "40", "--out", str(out_path)]
+    env = {**os.environ, "PYTHONPATH": str(Path(edgestego.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", script, *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 2, done.stderr
+    assert done.stdout == ""
+    assert out_path.read_bytes() == b"previous carrier"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.bmp", "cover.bmp", "p.bin"]
 
 
 def test_non_bmp_input_exits_three(tmp_path):

@@ -4,15 +4,20 @@ Round-trip tests run the same code on both sides, so they cannot notice a
 change that moves carriers consistently. These digests can: two seeded
 covers crossed with the acceptance suite's four parameter sets, each with
 the digest of its packed edge map and of ``write_bmp(embed(...))`` for a
-fixed payload. A refactor must leave every digest unchanged.
+fixed payload; two taller covers whose heights are not a multiple of the
+detector's row block; the digests of the Gaussian taps for every sigma; and
+a committed carrier file that must keep extracting to its payload. A
+refactor must leave every digest unchanged.
 """
 
 import hashlib
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from edgestego import RgbImage, detect_edges, embed, write_bmp
+from edgestego import CannyParams, RgbImage, detect_edges, embed, extract, read_bmp, write_bmp
+from edgestego.canny import SIGMA_TENTHS_MAX, SIGMA_TENTHS_MIN, gaussian_kernel
 from test_acceptance import PARAM_SETS
 
 PAYLOAD = bytes(range(200))  # fits every cover/params pair below
@@ -76,3 +81,94 @@ def test_known_answer(seed, index):
     edges = detect_edges(cover, params)
     assert _sha256(np.packbits(edges.membership).tobytes()) == edges_digest
     assert _sha256(write_bmp(embed(cover, PAYLOAD, params))) == bmp_digest
+
+
+# (width, height, sigma in tenths) -> (edge map digest, carrier BMP digest),
+# low/high thresholds 5/40; heights 91 and 40 end part-way into a row block
+TALL_VECTORS = {
+    (157, 91, 10): (
+        "a28b2fde08122fc5c9a9d61958f3de78ff88533f333b02a0f09db118181d1106",
+        "7f321a5492092e475b085445e84f2faab8fa45bf52b5b9e391e72e42a6a79ee0",
+    ),
+    (157, 91, 30): (
+        "0e14947d0584408c91b03a891ec60378dc74218b27c8042e6dd3bfdcdbc60ac8",
+        "1d36f72ec64eab9317d111f44a637d79660eecd94f76266931374af4b3c837cc",
+    ),
+    (300, 40, 10): (
+        "fe7fd6ea3d850bd34431f855f27836dffa76cb68a8f92a7a38028627b48bd9ae",
+        "aed66359cad69766b0c9fd4c5cd26708aa6b798f00f380fabf75cd8c27186521",
+    ),
+    (300, 40, 30): (
+        "af13e84ecf13d8a0260f2e75c3b4ce70f68f147a4cefb73f8297408fe1b550d1",
+        "6c25876d2d774766cc0bda33b7cf776f5d31de2da561916a39540f8f7cee818c",
+    ),
+}
+
+
+def _tall_cover(width, height):
+    """A wrapped ramp with three bright rectangles and mild noise."""
+    rng = np.random.default_rng(width * height)
+    yy, xx = np.mgrid[0:height, 0:width]
+    image = ((2 * xx + 3 * yy) % 160)[..., None] + rng.integers(0, 60, 3)
+    for _ in range(3):
+        x0, y0 = int(rng.integers(0, width - 20)), int(rng.integers(0, height - 10))
+        image[y0 : y0 + int(rng.integers(8, height)), x0 : x0 + int(rng.integers(10, 60))] += 80
+    noisy = image + rng.integers(0, 12, image.shape)
+    return RgbImage(np.clip(noisy, 0, 255).astype(np.uint8))
+
+
+@pytest.mark.parametrize("width,height,tenths", sorted(TALL_VECTORS))
+def test_known_answer_across_row_blocks(width, height, tenths):
+    cover, params = _tall_cover(width, height), CannyParams(tenths, 5, 40)
+    edges_digest, bmp_digest = TALL_VECTORS[width, height, tenths]
+    edges = detect_edges(cover, params)
+    assert _sha256(np.packbits(edges.membership).tobytes()) == edges_digest
+    assert _sha256(write_bmp(embed(cover, PAYLOAD, params))) == bmp_digest
+
+
+# sigma in tenths -> SHA-256 of the little-endian float64 bytes of
+# gaussian_kernel(sigma). The taps are part of the shared secret: an ulp of
+# drift in np.exp on another machine would move edge maps, so it has to
+# fail here first.
+TAP_DIGESTS = {
+    10: "b5a0b72f3f5d0d42cdfd74c101e352825d68564183e453b880e1e631047e2922",
+    11: "de28725d9f1715f720e8a1925d49eaa41d7a0508d930d90e4715042ebb813ef0",
+    12: "45d65c344c8ee556c7356352bd65a9ac3ca87bf3a1478cb2274d433f479858a7",
+    13: "c3834e52dd043c8b2d54a52c5f10e0f8337ebdc0a98bb6b8650a52b6d3beaf6d",
+    14: "67d34975d77b8842790f9d82d074552bbffda06235ac15db0f2aae93e2f30711",
+    15: "5b5f320bd6626a121dd419cfc50b937dd6a5cf1c0b51d079144f55f4a0bdb344",
+    16: "22b249e940c063de2ee84daebe6686c57d84a6ee8ad547471dac0f8f0c1dcbcd",
+    17: "6469861ef34dfa73ba86f03a6bf165cadda3a3bcdffa9807a69ec4b4e2f0e82a",
+    18: "b050ec7abc47751be3a8f91cc900f04f81af2616e6c79da2db330580f1f6f9de",
+    19: "52568971f1ae5fc72e7c62d75104eba9082bc86d46215c8220a86272659da9b8",
+    20: "a160520ca5230adde535b9d9c18416da504e0e8051623702411be5f36afbab00",
+    21: "c6738c5d7bf283b728f05113c829694391e9c671b161441f99da13378e48f5e3",
+    22: "5b569f44545b2aaf1139f85b471573c09b079f51c3024ca78efdc23d8fca9d46",
+    23: "90505da027e7aea058ceb0bc15a185ad81e824177acf95a1ccf0aab412c97fdc",
+    24: "c5ba8b5d89cea62b46020f38e2b85e3764e67d1ad0a056916b3380888a1f3e24",
+    25: "82587b1362e15680e10145fe2ddd651f6c0252c1cbf37b283f77fbe8c6ab0e00",
+    26: "69e5e5bd9f03bdbc57ad4bb8a812681981fed6a1efef8840362a29e6341cc0b9",
+    27: "39c1a08545931377cfe1a5caeafe219b689065f30b1a4c3ef46abc731b20493a",
+    28: "bf9037b6e4178e1e995ac1929ba924611853d28140e6463be93ac24a82fc857f",
+    29: "4e8eeb3e1e74becd3088e31e4cffbb883c89b54dd62ba2e70b41930928a4c39c",
+    30: "a819790583752c0f7a6beff8570a6625cadb4d9d56739ebe7157d2b22d6024c4",
+}
+
+
+def test_gaussian_taps_are_frozen():
+    digests = {
+        tenths: _sha256(gaussian_kernel(tenths / 10.0).astype("<f8").tobytes())
+        for tenths in range(SIGMA_TENTHS_MIN, SIGMA_TENTHS_MAX + 1)
+    }
+    assert digests == TAP_DIGESTS
+
+
+# A carrier written once and committed: _cover(3), sigma 1.5, thresholds 5/40.
+CARRIER_FILE = Path(__file__).parent / "data" / "carrier_64x48_s15_5_40.bmp"
+CARRIER_PAYLOAD = b"edgestego known-answer carrier: bits 0..2 of edge pixels"
+
+
+def test_committed_carrier_extracts_its_payload():
+    payload, params = extract(read_bmp(CARRIER_FILE.read_bytes()))
+    assert payload == CARRIER_PAYLOAD
+    assert params == CannyParams(15, 5, 40)
