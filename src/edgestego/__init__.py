@@ -7,19 +7,9 @@ re-run it on the carrier image and land on the identical pixel set.
 """
 
 from .bmp import read_bmp, write_bmp
-from .canny import (
-    CannyParams,
-    detect_edges,
-    gaussian_kernel,
-    gradients,
-    hysteresis,
-    non_max_suppression,
-    smooth,
-    sobel,
-    to_masked_gray,
-)
+from .canny import CannyParams, detect_edges
 from .carrier import capacity_bytes, carrier_arrays
-from .codec import StegoHeader, embed, extract, pack_bits, read_header
+from .codec import embed, extract, read_header
 from .errors import (
     BadMagic,
     CapacityExceeded,
@@ -35,8 +25,8 @@ from .errors import (
     UnsupportedVersion,
     ZeroDimension,
 )
-from .image import EdgeMap, GrayImage, RgbImage
-from .metrics import DiffReport, diff, verify_stability
+from .image import EdgeMap, RgbImage
+from .metrics import diff, verify_stability
 
 __version__ = "0.1.0"
 
@@ -45,17 +35,14 @@ __all__ = [
     "CannyParams",
     "CapacityExceeded",
     "CorruptHeader",
-    "DiffReport",
     "DimensionMismatch",
     "EdgeMap",
-    "GrayImage",
     "ImageTooNarrow",
     "ImageTooSmall",
     "MalformedFile",
     "ParamOutOfRange",
     "RgbImage",
     "StegoError",
-    "StegoHeader",
     "TruncatedPayload",
     "UnsupportedFormat",
     "UnsupportedVersion",
@@ -66,16 +53,8 @@ __all__ = [
     "diff",
     "embed",
     "extract",
-    "gaussian_kernel",
-    "gradients",
-    "hysteresis",
-    "non_max_suppression",
-    "pack_bits",
     "read_bmp",
     "read_header",
-    "smooth",
-    "sobel",
-    "to_masked_gray",
     "verify_stability",
     "write_bmp",
 ]

@@ -103,10 +103,9 @@ def to_masked_gray(image: RgbImage) -> GrayImage:
     return GrayImage(gray)
 
 
-def gaussian_kernel(sigma: float) -> np.ndarray:
-    """Normalized 1-D Gaussian taps for ``sigma`` in [1.0, 3.0], radius ceil(3*sigma)."""
-    if not 1.0 <= sigma <= 3.0:
-        raise ParamOutOfRange(f"sigma must be 1.0..3.0, got {sigma}")
+def gaussian_kernel(params: CannyParams) -> np.ndarray:
+    """Normalized 1-D Gaussian taps for ``params.sigma``, radius ceil(3*sigma)."""
+    sigma = params.sigma
     radius = math.ceil(3.0 * sigma)
     offsets = np.arange(-radius, radius + 1, dtype=np.float64)
     kernel = np.exp(-(offsets * offsets) / (2.0 * sigma * sigma))
@@ -130,7 +129,7 @@ def smooth(gray: GrayImage, params: CannyParams) -> GrayImage:
     horizontal sums a block's vertical pass reads; the last 2*radius of them
     carry over to the next block.
     """
-    kernel = gaussian_kernel(params.sigma)
+    kernel = gaussian_kernel(params)
     span, width = len(kernel) - 1, gray.width
     padded = np.pad(gray.values, span // 2, mode="edge")
     source = np.empty((_BLOCK_ROWS + span, width + span))
@@ -238,9 +237,6 @@ def hysteresis(thinned: np.ndarray, params: CannyParams) -> EdgeMap:
     """
     strong = thinned >= params.high_threshold
     candidate = thinned >= params.low_threshold  # weak or strong, as low <= high
-    if not strong.any():
-        return EdgeMap(np.zeros_like(candidate))
-
     labels, n_components = ndimage.label(candidate, structure=np.ones((3, 3), dtype=bool))
     keep = np.zeros(n_components + 1, dtype=bool)
     keep[labels[strong]] = True  # strong pixels never carry label 0

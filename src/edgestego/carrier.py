@@ -17,9 +17,9 @@ BITS_PER_CARRIER = 9  # 3 LSBs in each of the 3 channels
 
 def carrier_arrays(edges: EdgeMap) -> tuple[np.ndarray, np.ndarray]:
     """All edge coordinates outside the reserved row, as (xs, ys) arrays in row-major order."""
-    ys, xs = np.nonzero(edges.membership)  # np.nonzero scans row-major
-    eligible = ys >= RESERVED_ROWS
-    return xs[eligible], ys[eligible]
+    ys, xs = np.nonzero(edges.membership[RESERVED_ROWS:])  # np.nonzero scans row-major
+    ys += RESERVED_ROWS
+    return xs, ys
 
 
 def capacity_of(carriers: int) -> int:

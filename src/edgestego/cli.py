@@ -87,10 +87,6 @@ def _write_file(path: str, data: bytes):
         raise
 
 
-def _save_image(path: str, image: RgbImage):
-    _write_file(path, write_bmp(image))
-
-
 def _cmd_embed(args) -> int:
     params = CannyParams(args.sigma, args.low, args.high)
     cover = _load_image(args.in_path)
@@ -98,7 +94,7 @@ def _cmd_embed(args) -> int:
         payload = handle.read()
 
     xs, ys = carrier_arrays(detect_edges(cover, params))
-    _save_image(args.out, embed_at(cover, payload, params, xs, ys))
+    _write_file(args.out, write_bmp(embed_at(cover, payload, params, xs, ys)))
 
     print(f"carrier pixels: {xs.size}")
     print(f"capacity bytes: {capacity_of(xs.size)}")
@@ -156,7 +152,7 @@ def _cmd_edges(args) -> int:
 
     rendered = np.zeros((edges.height, edges.width, 3), dtype=np.uint8)
     rendered[edges.membership] = 255
-    _save_image(args.out, RgbImage(rendered))
+    _write_file(args.out, write_bmp(RgbImage(rendered)))
     print(f"edge pixels: {edges.count}")
     return 0
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .canny import CannyParams, check_min_size, detect_edges
-from .carrier import capacity_of, carrier_arrays
+from .carrier import BITS_PER_CARRIER, capacity_of, carrier_arrays
 from .errors import (
     BadMagic,
     CapacityExceeded,
@@ -78,9 +78,23 @@ class StegoHeader:
         return cls(params, payload_len)
 
 
-def pack_bits(data: bytes) -> np.ndarray:
-    """Serialize bytes to a 0/1 array, most significant bit of each byte first."""
-    return np.unpackbits(np.frombuffer(data, dtype=np.uint8))
+def _to_fields(data: bytes, width: int, count: int) -> np.ndarray:
+    """``count`` fields of ``width`` bits read from ``data`` MSB-first; the last is zero-padded."""
+    bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8), count=width * count)
+    fields = np.zeros(count, dtype=np.uint8)
+    for column in bits.reshape(count, width).T:  # most significant bit first
+        fields <<= 1
+        fields |= column
+    return fields
+
+
+def _from_fields(fields: np.ndarray, width: int, size: int) -> bytes:
+    """The first ``size`` bytes of the low ``width`` bits of ``fields``, read MSB-first."""
+    bits = np.empty((fields.size, width), dtype=np.uint8)
+    for k in range(width):
+        np.right_shift(fields, width - 1 - k, out=bits[:, k])
+    bits &= 1
+    return np.packbits(bits.reshape(-1)[: 8 * size]).tobytes()
 
 
 def _check_geometry(image: RgbImage):
@@ -91,17 +105,11 @@ def _check_geometry(image: RgbImage):
         )
 
 
-def _write_header(pixels: np.ndarray, header: StegoHeader):
-    bits = pack_bits(header.to_bytes())  # 80 bits for 80 channel slots
-    row = pixels[0].reshape(-1)
-    row[:HEADER_BITS] = (row[:HEADER_BITS] & 0xFE) | bits
-
-
 def read_header(carrier: RgbImage) -> StegoHeader:
     """Parse and validate the embedded header without touching the payload."""
     _check_geometry(carrier)
     row = carrier.pixels[0].reshape(-1)
-    return StegoHeader.from_bytes(np.packbits(row[:HEADER_BITS] & 1).tobytes())
+    return StegoHeader.from_bytes(_from_fields(row[:HEADER_BITS], 1, HEADER_BITS // 8))
 
 
 def embed(image: RgbImage, payload: bytes, params: CannyParams) -> RgbImage:
@@ -127,18 +135,14 @@ def embed_at(image: RgbImage, payload: bytes, params: CannyParams,
         raise CapacityExceeded(required=len(payload), available=capacity)
 
     out = image.pixels.copy()
-    _write_header(out, StegoHeader(params, len(payload)))
+    header = StegoHeader(params, len(payload)).to_bytes()
+    row = out[0].reshape(-1)  # 80 header bits for the first 80 channel slots
+    row[:HEADER_BITS] = (row[:HEADER_BITS] & 0xFE) | _to_fields(header, 1, HEADER_BITS)
 
-    bits = pack_bits(payload)
-    n_groups = -(-bits.size // 9)
-    if n_groups:
-        padded = np.zeros(n_groups * 9, dtype=np.uint8)
-        padded[: bits.size] = bits
-        triples = padded.reshape(-1, 3)
-        fields = (triples[:, 0] << 2) | (triples[:, 1] << 1) | triples[:, 2]
-        fields = fields.reshape(n_groups, 3)  # one 3-bit field per channel
-        sel_y, sel_x = ys[:n_groups], xs[:n_groups]
-        out[sel_y, sel_x] = (out[sel_y, sel_x] & 0xF8) | fields
+    n = -(-8 * len(payload) // BITS_PER_CARRIER)  # whole carriers, one 3-bit field per channel
+    fields = _to_fields(payload, 3, 3 * n).reshape(n, 3)
+    sel_y, sel_x = ys[:n], xs[:n]
+    out[sel_y, sel_x] = (out[sel_y, sel_x] & 0xF8) | fields
     return RgbImage(out)
 
 
@@ -152,11 +156,6 @@ def extract(carrier: RgbImage) -> tuple[bytes, CannyParams]:
             f"header claims {header.payload_len} bytes but the carrier holds {capacity}"
         )
 
-    total_bits = 8 * header.payload_len
-    n_groups = -(-total_bits // 9)
-    channels = carrier.pixels[ys[:n_groups], xs[:n_groups]] & 0x07
-    bits = np.stack(
-        [(channels >> 2) & 1, (channels >> 1) & 1, channels & 1], axis=-1
-    ).reshape(-1)[:total_bits]
-    payload = np.packbits(bits).tobytes()[: header.payload_len]
-    return payload, header.params
+    n = -(-8 * header.payload_len // BITS_PER_CARRIER)
+    channels = carrier.pixels[ys[:n], xs[:n]].reshape(-1)
+    return _from_fields(channels, 3, header.payload_len), header.params

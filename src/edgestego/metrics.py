@@ -33,14 +33,14 @@ def _check_dims(a: RgbImage, b: RgbImage):
 def diff(a: RgbImage, b: RgbImage) -> DiffReport:
     """MSE/PSNR over all channel values plus change counts."""
     _check_dims(a, b)
-    delta = a.pixels.astype(np.int32) - b.pixels.astype(np.int32)
-    abs_delta = np.abs(delta)
-    mse = float(np.mean(np.square(delta).astype(np.float64)))
+    delta = np.maximum(a.pixels, b.pixels) - np.minimum(a.pixels, b.pixels)  # |a - b|, uint8
+    # exact: every square fits uint16 and the int64 sum holds them all
+    mse = float(np.square(delta, dtype=np.uint16).sum(dtype=np.int64) / delta.size)
     psnr = math.inf if mse == 0.0 else 10.0 * math.log10(255.0**2 / mse)
     return DiffReport(
-        changed_pixels=int(np.count_nonzero(abs_delta.any(axis=2))),
-        changed_channels=int(np.count_nonzero(abs_delta)),
-        max_channel_delta=int(abs_delta.max()),
+        changed_pixels=int(np.count_nonzero(delta.any(axis=2))),
+        changed_channels=int(np.count_nonzero(delta)),
+        max_channel_delta=int(delta.max()),
         mse=mse,
         psnr_db=psnr,
     )

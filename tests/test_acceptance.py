@@ -15,7 +15,6 @@ import pytest
 from edgestego import (
     CannyParams,
     EdgeMap,
-    GrayImage,
     RgbImage,
     capacity_bytes,
     carrier_arrays,
@@ -23,14 +22,12 @@ from edgestego import (
     diff,
     embed,
     extract,
-    hysteresis,
-    non_max_suppression,
     read_bmp,
-    smooth,
-    sobel,
     verify_stability,
     write_bmp,
 )
+from edgestego.canny import hysteresis, non_max_suppression, smooth, sobel
+from edgestego.image import GrayImage
 import oracles
 
 PARAM_SETS = (

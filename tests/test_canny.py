@@ -10,13 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from edgestego import (
-    CannyParams,
-    GrayImage,
-    ImageTooSmall,
-    ParamOutOfRange,
-    RgbImage,
-    detect_edges,
+from edgestego import CannyParams, ImageTooSmall, ParamOutOfRange, RgbImage, detect_edges
+from edgestego.canny import (
+    _BLOCK_ROWS as _BLOCK,
+    _direction_bins,
     gaussian_kernel,
     gradients,
     hysteresis,
@@ -25,7 +22,7 @@ from edgestego import (
     sobel,
     to_masked_gray,
 )
-from edgestego.canny import _BLOCK_ROWS as _BLOCK, _direction_bins
+from edgestego.image import GrayImage
 import oracles
 
 
@@ -93,12 +90,12 @@ def test_masked_gray_ignores_payload_bits(r, g, b, lr, lg, lb):
     "sigma,taps", [(1.0, 7), (1.5, 11), (2.0, 13), (2.1, 15), (3.0, 19)]
 )
 def test_kernel_length(sigma, taps):
-    assert len(gaussian_kernel(sigma)) == taps
+    assert len(gaussian_kernel(CannyParams.from_sigma(sigma, 0, 255))) == taps
 
 
 def test_kernel_shape():
-    for sigma in (1.0, 1.3, 2.0, 3.0):
-        kernel = gaussian_kernel(sigma)
+    for tenths in (10, 13, 20, 30):
+        kernel = gaussian_kernel(CannyParams(tenths, 0, 255))
         assert np.array_equal(kernel, kernel[::-1])  # exactly symmetric
         assert abs(kernel.sum() - 1.0) < 1e-12
         assert kernel.argmax() == len(kernel) // 2
@@ -106,14 +103,8 @@ def test_kernel_shape():
 
 def test_kernel_center_to_edge_ratio():
     # for sigma=1 the end taps sit at distance 3: ratio exp(9/2)
-    kernel = gaussian_kernel(1.0)
+    kernel = gaussian_kernel(CannyParams(10, 0, 255))
     assert math.isclose(kernel[3] / kernel[0], math.exp(4.5), rel_tol=1e-12)
-
-
-def test_kernel_rejects_out_of_range_sigma():
-    for sigma in (0.5, 0.99, 3.01, 10.0):
-        with pytest.raises(ParamOutOfRange):
-            gaussian_kernel(sigma)
 
 
 def test_smooth_constant_is_fixed_point():
@@ -144,7 +135,7 @@ def test_smooth_is_exactly_the_separable_sum(tenths):
     # separable sum byte for byte, also across the row blocks it works in:
     # heights below the radius, around one block and past two blocks.
     rng = np.random.default_rng(tenths)
-    kernel = gaussian_kernel(tenths / 10.0)
+    kernel = gaussian_kernel(CannyParams(tenths, 0, 255))
     for height in (1, 2, 8, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3):
         for width in (1, 5, 300):
             values = rng.integers(0, 256, (height, width), dtype=np.uint8)

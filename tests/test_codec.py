@@ -13,16 +13,15 @@ from edgestego import (
     ImageTooNarrow,
     ImageTooSmall,
     RgbImage,
-    StegoHeader,
     TruncatedPayload,
     UnsupportedVersion,
     capacity_bytes,
     detect_edges,
     embed,
     extract,
-    pack_bits,
     read_header,
 )
+from edgestego.codec import StegoHeader, _from_fields, _to_fields
 from helpers import random_image, write_row0_bits
 
 PARAMS = CannyParams(15, 5, 40)
@@ -32,9 +31,22 @@ PARAMS = CannyParams(15, 5, 40)
 
 
 def test_pack_bits_is_msb_first():
-    assert pack_bits(b"\x48").tolist() == [0, 1, 0, 0, 1, 0, 0, 0]
-    assert pack_bits(b"\xff\x00").tolist() == [1] * 8 + [0] * 8
-    assert pack_bits(b"").size == 0
+    assert _to_fields(b"\x48", 1, 8).tolist() == [0, 1, 0, 0, 1, 0, 0, 0]
+    assert _to_fields(b"\xff\x00", 1, 16).tolist() == [1] * 8 + [0] * 8
+    assert _to_fields(b"", 1, 0).size == 0
+
+
+def test_payload_fields_fill_channels_msb_first_and_pad_with_zeros():
+    # 1010 0101 0000 1111 -> 101 001 010 000 111 1(00)
+    fields = _to_fields(b"\xA5\x0F", 3, 6)
+    assert fields.reshape(-1, 3).tolist() == [[5, 1, 2], [0, 7, 4]]
+    assert _from_fields(fields, 3, 2) == b"\xA5\x0F"
+
+
+@given(st.binary(max_size=64), st.sampled_from([1, 3]))
+def test_fields_round_trip(data, width):
+    count = -(-8 * len(data) // width)
+    assert _from_fields(_to_fields(data, width, count), width, len(data)) == data
 
 
 # ------------------------------------------------------------------- header

@@ -127,7 +127,7 @@ def test_known_answer_across_row_blocks(width, height, tenths):
 
 
 # sigma in tenths -> SHA-256 of the little-endian float64 bytes of
-# gaussian_kernel(sigma). The taps are part of the shared secret: an ulp of
+# gaussian_kernel at that sigma. The taps are part of the shared secret: an ulp of
 # drift in np.exp on another machine would move edge maps, so it has to
 # fail here first.
 TAP_DIGESTS = {
@@ -157,7 +157,7 @@ TAP_DIGESTS = {
 
 def test_gaussian_taps_are_frozen():
     digests = {
-        tenths: _sha256(gaussian_kernel(tenths / 10.0).astype("<f8").tobytes())
+        tenths: _sha256(gaussian_kernel(CannyParams(tenths, 0, 255)).astype("<f8").tobytes())
         for tenths in range(SIGMA_TENTHS_MIN, SIGMA_TENTHS_MAX + 1)
     }
     assert digests == TAP_DIGESTS

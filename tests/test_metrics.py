@@ -7,7 +7,6 @@ import pytest
 
 from edgestego import (
     CannyParams,
-    DiffReport,
     DimensionMismatch,
     RgbImage,
     capacity_bytes,
@@ -16,6 +15,7 @@ from edgestego import (
     embed,
     verify_stability,
 )
+from edgestego.metrics import DiffReport
 from helpers import random_image
 
 PARAMS = CannyParams(15, 5, 40)
@@ -36,6 +36,17 @@ def test_single_channel_delta():
     # 49 spread over the three channel samples of the single pixel
     assert report.mse == pytest.approx(49 / 3)
     assert report.psnr_db == pytest.approx(10 * math.log10(255**2 * 3 / 49), rel=1e-12)
+
+
+def test_full_scale_delta_keeps_its_square():
+    # 255**2 needs all 16 bits of the square; a narrower one would wrap
+    black = RgbImage(np.zeros((3, 2, 3), dtype=np.uint8))
+    white = RgbImage(np.full((3, 2, 3), 255, dtype=np.uint8))
+    for a, b in ((black, white), (white, black)):
+        report = diff(a, b)
+        assert report.mse == 65025.0
+        assert report.psnr_db == 0.0
+        assert report.max_channel_delta == 255
 
 
 def test_counts_distinguish_pixels_from_channels():
