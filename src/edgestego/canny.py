@@ -6,8 +6,10 @@ table (built once), the Gaussian taps, the smoothing sums (taps added in a
 fixed order) and one correctly rounded IEEE square root per pixel; directions
 are binned by integer tests and every stage rounds back to integers. The gray
 projection zeroes the three LSBs of every channel first, so the whole
-pipeline is invariant under any payload written into those bits. The hot
-stages work on blocks of ``_BLOCK_ROWS`` rows; no value depends on blocking.
+pipeline is invariant under any payload written into those bits. Every
+stage but the hysteresis labelling works on blocks of ``_BLOCK_ROWS`` rows,
+table lookups and gathers included, so its temporaries stay in cache; no
+value depends on blocking.
 """
 
 from __future__ import annotations
@@ -172,13 +174,15 @@ def _direction_bins(gx: np.ndarray, gy: np.ndarray) -> np.ndarray:
     horizontal when y < (sqrt(2) - 1) x, that is (x + y)**2 < 2 x**2, and of
     the vertical when (x + y)**2 < 2 y**2. No nonzero integer pair lies on
     these irrational bounds; (0, 0) meets the first with equality and bins
-    to 0. Otherwise the sign of gx*gy picks the diagonal.
+    to 0. Otherwise neither is 0, and whether their signs differ picks the
+    diagonal.
     """
-    x, y = np.abs(gx), np.abs(gy)
-    s = (x + y) ** 2
-    bins = np.where(gx * gy > 0, np.uint8(45), np.uint8(135))
-    np.copyto(bins, 90, where=s < 2 * y * y)
-    np.copyto(bins, 0, where=s <= 2 * x * x)
+    s = np.abs(gx)
+    s += np.abs(gy)
+    s *= s
+    bins = 45 + 90 * ((gx ^ gy) < 0).view(np.uint8)  # 135 where the signs differ, else 45
+    bins -= (s < 2 * gy * gy) * (bins - 90)  # the uint8 difference wraps, so this sets 90
+    bins *= s > 2 * gx * gx  # and this sets 0
     return bins
 
 
@@ -206,7 +210,10 @@ def gradients(smoothed: GrayImage) -> tuple[np.ndarray, np.ndarray]:
     # value; a flat image (peak 0) maps to all zeros
     peak = max(int(raw.max()), 1)
     rescale = ((510 * np.arange(peak + 1) + peak) // (2 * peak)).astype(np.uint8)
-    return rescale[raw], direction
+    magnitude = np.empty_like(smoothed.values)
+    for y0, y1 in _row_blocks(smoothed.height):
+        np.take(rescale, raw[y0:y1], out=magnitude[y0:y1])
+    return magnitude, direction
 
 
 def non_max_suppression(magnitude: np.ndarray, direction: np.ndarray) -> np.ndarray:
@@ -214,17 +221,19 @@ def non_max_suppression(magnitude: np.ndarray, direction: np.ndarray) -> np.ndar
 
     Out-of-bounds neighbors count as magnitude 0, so border pixels can survive.
     """
-    p = np.pad(magnitude, 1, mode="constant", constant_values=0)
-    left, right = p[1:-1, :-2], p[1:-1, 2:]
-    up, down = p[:-2, 1:-1], p[2:, 1:-1]
-    up_left, up_right = p[:-2, :-2], p[:-2, 2:]
-    down_left, down_right = p[2:, :-2], p[2:, 2:]
-
-    keep = np.zeros(magnitude.shape, dtype=bool)
-    for angle, first, second in ((0, left, right), (45, up_right, down_left),
-                                 (90, up, down), (135, up_left, down_right)):
-        keep |= (direction == angle) & (magnitude >= first) & (magnitude >= second)
-    return np.where(keep, magnitude, 0).astype(magnitude.dtype, copy=False)
+    p = np.pad(magnitude, 1)  # zeros
+    width = magnitude.shape[1]
+    out = np.empty_like(magnitude)
+    for y0, y1 in _row_blocks(magnitude.shape[0]):
+        m, d = magnitude[y0:y1], direction[y0:y1]
+        keep = np.zeros(m.shape, dtype=bool)
+        # each bin's two neighbors as (row, column) offsets into the padded copy
+        for angle, (r0, c0), (r1, c1) in ((0, (1, 0), (1, 2)), (45, (0, 2), (2, 0)),
+                                          (90, (0, 1), (2, 1)), (135, (0, 0), (2, 2))):
+            keep |= ((d == angle) & (m >= p[y0 + r0 : y1 + r0, c0 : c0 + width])
+                     & (m >= p[y0 + r1 : y1 + r1, c1 : c1 + width]))
+        np.multiply(m, keep, out=out[y0:y1])
+    return out
 
 
 def hysteresis(thinned: np.ndarray, params: CannyParams) -> EdgeMap:
@@ -235,12 +244,15 @@ def hysteresis(thinned: np.ndarray, params: CannyParams) -> EdgeMap:
     pixel through a chain of 8-connected weak/strong pixels. Reachability is
     order-independent, so so is the result.
     """
-    strong = thinned >= params.high_threshold
-    candidate = thinned >= params.low_threshold  # weak or strong, as low <= high
-    labels, n_components = ndimage.label(candidate, structure=np.ones((3, 3), dtype=bool))
+    # label the candidates (weak or strong, as low <= high), then keep the
+    # components that hold a strong pixel; neither mask outlives its use
+    labels, n_components = ndimage.label(thinned >= params.low_threshold, np.ones((3, 3), bool))
     keep = np.zeros(n_components + 1, dtype=bool)
-    keep[labels[strong]] = True  # strong pixels never carry label 0
-    return EdgeMap(keep[labels])
+    keep[labels[thinned >= params.high_threshold]] = True  # strong pixels never carry label 0
+    membership = np.empty(labels.shape, dtype=bool)
+    for y0, y1 in _row_blocks(labels.shape[0]):
+        np.take(keep, labels[y0:y1], out=membership[y0:y1])
+    return EdgeMap(membership)
 
 
 def detect_edges(image: RgbImage, params: CannyParams) -> EdgeMap:
@@ -250,6 +262,6 @@ def detect_edges(image: RgbImage, params: CannyParams) -> EdgeMap:
     and images differing only in channel bits 0..2 give the same map.
     """
     check_min_size(image)
-    smoothed = smooth(to_masked_gray(image), params)
-    thinned = non_max_suppression(*gradients(smoothed))
+    # nested calls: no stage's input outlives the stage that reads it
+    thinned = non_max_suppression(*gradients(smooth(to_masked_gray(image), params)))
     return hysteresis(thinned, params)

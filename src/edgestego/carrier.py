@@ -15,11 +15,11 @@ RESERVED_ROWS = 1  # row 0 holds the header
 BITS_PER_CARRIER = 9  # 3 LSBs in each of the 3 channels
 
 
-def carrier_arrays(edges: EdgeMap) -> tuple[np.ndarray, np.ndarray]:
-    """All edge coordinates outside the reserved row, as (xs, ys) arrays in row-major order."""
-    ys, xs = np.nonzero(edges.membership[RESERVED_ROWS:])  # np.nonzero scans row-major
-    ys += RESERVED_ROWS
-    return xs, ys
+def carrier_arrays(edges: EdgeMap) -> np.ndarray:
+    """Every edge pixel outside the reserved row as a flat index y * width + x, ascending."""
+    index = np.flatnonzero(edges.membership[RESERVED_ROWS:])
+    index += RESERVED_ROWS * edges.width
+    return index
 
 
 def capacity_of(carriers: int) -> int:
@@ -29,5 +29,4 @@ def capacity_of(carriers: int) -> int:
 
 def capacity_bytes(edges: EdgeMap) -> int:
     """Whole payload bytes the carriers can hold: floor(9 * carriers / 8)."""
-    xs, _ = carrier_arrays(edges)
-    return capacity_of(xs.size)
+    return capacity_of(carrier_arrays(edges).size)

@@ -93,11 +93,11 @@ def _cmd_embed(args) -> int:
     with open(args.data, "rb") as handle:
         payload = handle.read()
 
-    xs, ys = carrier_arrays(detect_edges(cover, params))
-    _write_file(args.out, write_bmp(embed_at(cover, payload, params, xs, ys)))
+    carriers = carrier_arrays(detect_edges(cover, params))
+    _write_file(args.out, write_bmp(embed_at(cover, payload, params, carriers)))
 
-    print(f"carrier pixels: {xs.size}")
-    print(f"capacity bytes: {capacity_of(xs.size)}")
+    print(f"carrier pixels: {carriers.size}")
+    print(f"capacity bytes: {capacity_of(carriers.size)}")
     print(f"payload bytes: {len(payload)}")
     return 0
 
@@ -133,15 +133,15 @@ def _cmd_capacity(args) -> int:
     params = CannyParams(args.sigma, args.low, args.high)
     image = _load_image(args.in_path)
     edges = detect_edges(image, params)
-    xs, ys = carrier_arrays(edges)
+    carriers = carrier_arrays(edges)
 
     print(f"edge pixels: {edges.count}")
-    print(f"carrier pixels: {xs.size}")
-    print(f"capacity bits: {BITS_PER_CARRIER * xs.size}")
-    print(f"capacity bytes: {capacity_of(xs.size)}")
+    print(f"carrier pixels: {carriers.size}")
+    print(f"capacity bits: {BITS_PER_CARRIER * carriers.size}")
+    print(f"capacity bytes: {capacity_of(carriers.size)}")
     if args.coords:
-        shown = zip(xs[: args.coords].tolist(), ys[: args.coords].tolist())
-        print(" ; ".join(f"({x:03d},{y:03d})" for x, y in shown))
+        ys, xs = np.divmod(carriers[: args.coords], edges.width)
+        print(" ; ".join(f"({x:03d},{y:03d})" for x, y in zip(xs.tolist(), ys.tolist())))
     return 0
 
 

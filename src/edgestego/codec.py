@@ -118,19 +118,19 @@ def embed(image: RgbImage, payload: bytes, params: CannyParams) -> RgbImage:
     Only bit 0 of the 27 header pixels in row 0 and bits 0..2 of the carrier
     pixels that actually receive payload are modified.
     """
-    return embed_at(image, payload, params, *carrier_arrays(detect_edges(image, params)))
+    return embed_at(image, payload, params, carrier_arrays(detect_edges(image, params)))
 
 
 def embed_at(image: RgbImage, payload: bytes, params: CannyParams,
-             xs: np.ndarray, ys: np.ndarray) -> RgbImage:
+             carriers: np.ndarray) -> RgbImage:
     """:func:`embed` for a caller that already ran the detector.
 
-    ``xs, ys`` must be ``carrier_arrays(detect_edges(image, params))``.
+    ``carriers`` must be ``carrier_arrays(detect_edges(image, params))``.
     """
     _check_geometry(image)
     if len(payload) > MAX_PAYLOAD_BYTES:
         raise CapacityExceeded(required=len(payload), available=MAX_PAYLOAD_BYTES)
-    capacity = capacity_of(xs.size)
+    capacity = capacity_of(carriers.size)
     if len(payload) > capacity:
         raise CapacityExceeded(required=len(payload), available=capacity)
 
@@ -140,22 +140,23 @@ def embed_at(image: RgbImage, payload: bytes, params: CannyParams,
     row[:HEADER_BITS] = (row[:HEADER_BITS] & 0xFE) | _to_fields(header, 1, HEADER_BITS)
 
     n = -(-8 * len(payload) // BITS_PER_CARRIER)  # whole carriers, one 3-bit field per channel
-    fields = _to_fields(payload, 3, 3 * n).reshape(n, 3)
-    sel_y, sel_x = ys[:n], xs[:n]
-    out[sel_y, sel_x] = (out[sel_y, sel_x] & 0xF8) | fields
+    fields = _to_fields(payload, 3, 3 * n)  # before the gather: its bit temporaries are freed
+    pixels, used = out.reshape(-1).view("V3"), carriers[:n]  # one 3-byte item per pixel
+    channels = (np.take(pixels, used).view(np.uint8) & 0xF8) | fields
+    np.put(pixels, used, channels.view(pixels.dtype))
     return RgbImage(out)
 
 
 def extract(carrier: RgbImage) -> tuple[bytes, CannyParams]:
     """Recover (payload, params) from a carrier produced by :func:`embed`."""
     header = read_header(carrier)
-    xs, ys = carrier_arrays(detect_edges(carrier, header.params))
-    capacity = capacity_of(xs.size)
+    carriers = carrier_arrays(detect_edges(carrier, header.params))
+    capacity = capacity_of(carriers.size)
     if header.payload_len > capacity:
         raise TruncatedPayload(
             f"header claims {header.payload_len} bytes but the carrier holds {capacity}"
         )
 
     n = -(-8 * header.payload_len // BITS_PER_CARRIER)
-    channels = carrier.pixels[ys[:n], xs[:n]].reshape(-1)
+    channels = np.take(carrier.pixels.reshape(-1).view("V3"), carriers[:n]).view(np.uint8)
     return _from_fields(channels, 3, header.payload_len), header.params

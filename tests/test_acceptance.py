@@ -82,7 +82,7 @@ def test_criterion_1_capacity_arithmetic(capsys):
         membership.reshape(-1)[80 : 80 + 5630] = True  # row 0 stays clear
         edges = EdgeMap(membership)
         assert edges.count == 5630
-        assert carrier_arrays(edges)[0].size == 5630
+        assert carrier_arrays(edges).size == 5630
         capacity_bytes(edges)  # warm-up
         start = time.perf_counter()
         result = capacity_bytes(edges)

@@ -2,6 +2,7 @@
 reference, plus the invariance property the whole scheme rests on."""
 
 import hashlib
+import itertools
 import math
 from fractions import Fraction
 
@@ -291,8 +292,10 @@ def test_nms_border_pixels_compare_against_zero():
 
 def test_nms_matches_exhaustive_reference():
     rng = np.random.default_rng(29)
-    for _ in range(25):
-        height, width = (int(v) for v in rng.integers(1, 13, size=2))
+    small = (tuple(int(v) for v in rng.integers(1, 13, size=2)) for _ in range(25))
+    # heights on both sides of the row-block seams, narrow and wide
+    seams = [(h, w) for h in (_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3) for w in (7, 300)]
+    for height, width in itertools.chain(small, seams):  # small is drawn as the loop runs
         magnitude = rng.integers(0, 256, (height, width), dtype=np.uint8)
         direction = rng.choice(np.array([0, 45, 90, 135], dtype=np.uint8), (height, width))
         ours = non_max_suppression(magnitude, direction)

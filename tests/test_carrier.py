@@ -15,7 +15,7 @@ def _edge_map(width, height, coords):
 
 
 def _carriers(edges):
-    xs, ys = carrier_arrays(edges)
+    ys, xs = np.divmod(carrier_arrays(edges), edges.width)
     return list(zip(xs.tolist(), ys.tolist()))
 
 

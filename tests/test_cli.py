@@ -134,6 +134,22 @@ def test_capacity_coords_formatting(cover):
     assert all(re.fullmatch(r"\(\d{3},\d{3}\)", p) for p in pairs)
 
 
+def test_capacity_coords_are_the_carriers_in_row_major_order(cover):
+    # the 40x36 cover is not square, so a swapped x/y or a divmod by the
+    # height instead of the width prints different pairs
+    edges = detect_edges(read_bmp(cover.read_bytes()), CannyParams(15, 5, 40))
+    ys, xs = np.nonzero(edges.membership[1:])  # row 0 is the header's
+    expected = [f"({x:03d},{y + 1:03d})" for x, y in zip(xs.tolist(), ys.tolist())]
+    assert len(expected) > 7
+    for count in (7, len(expected), len(expected) + 5):
+        code, out, _ = run_cli([
+            "capacity", "--in", str(cover), "--sigma", "1.5", "--low", "5", "--high", "40",
+            "--coords", str(count),
+        ])
+        assert code == 0
+        assert out.strip().splitlines()[-1].split(" ; ") == expected[:count]
+
+
 def test_capacity_rejects_negative_coords(cover):
     code, out, _ = run_cli([
         "capacity", "--in", str(cover), "--sigma", "1.5", "--low", "5", "--high", "40",
