@@ -12,7 +12,7 @@ import struct
 
 import numpy as np
 
-from .errors import MalformedFile, UnsupportedFormat, ZeroDimension
+from .errors import MalformedFile, UnsupportedFormat
 from .image import RgbImage
 
 FILE_HEADER_SIZE = 14
@@ -67,8 +67,6 @@ def read_bmp(data: bytes) -> RgbImage:
 
     if width < 0:
         raise MalformedFile(f"negative width {width}")
-    if width == 0 or height == 0:
-        raise ZeroDimension("zero width or height")
     top_down = height < 0
     abs_height = -height if top_down else height
 
@@ -79,6 +77,7 @@ def read_bmp(data: bytes) -> RgbImage:
     if len(data) < needed:
         raise MalformedFile(f"pixel data truncated: need {needed} bytes, have {len(data)}")
 
+    # a zero width or height reads no bytes here, and RgbImage raises ZeroDimension
     raw = np.frombuffer(data, dtype=np.uint8, count=stride * abs_height, offset=pixel_offset)
     rows = raw.reshape(abs_height, stride)[:, : 3 * width].reshape(abs_height, width, 3)
     rgb = rows[:, :, ::-1]  # file stores BGR

@@ -1,15 +1,15 @@
 """Deterministic five-stage Canny edge detector over a masked grayscale projection.
 
 The detector is the shared secret between the two communicating parties, so
-every stage is pinned down exactly. Floating point appears only in the gray
-table (built once), the Gaussian taps, the smoothing sums (taps added in a
-fixed order) and one correctly rounded IEEE square root per pixel; directions
-are binned by integer tests and every stage rounds back to integers. The gray
-projection zeroes the three LSBs of every channel first, so the whole
-pipeline is invariant under any payload written into those bits. Every
-stage but the hysteresis labelling works on blocks of ``_BLOCK_ROWS`` rows,
-table lookups and gathers included, so its temporaries stay in cache; no
-value depends on blocking.
+every stage is pinned down exactly. Floating point appears only in the
+Gaussian taps, the smoothing sums (taps added in a fixed order) and one
+correctly rounded IEEE square root per pixel; the gray projection is integer
+arithmetic, directions are binned by integer tests and every stage rounds
+back to integers. The gray projection zeroes the three LSBs of every
+channel first, so the whole pipeline is invariant under any payload written
+into those bits. Every stage but the hysteresis labelling works on blocks of
+``_BLOCK_ROWS`` rows, table lookups and gathers included, so its temporaries
+stay in cache; no value depends on blocking.
 """
 
 from __future__ import annotations
@@ -77,31 +77,24 @@ def _row_blocks(height: int):
         yield y0, min(y0 + _BLOCK_ROWS, height)
 
 
-def _masked_gray_table() -> np.ndarray:
-    """Masked gray of every channel triple, indexed by (r>>3)<<10 | (g>>3)<<5 | b>>3."""
-    levels = np.arange(32, dtype=np.float64) * 8  # a channel with bits 0..2 zeroed
-    r, g, b = np.meshgrid(levels, levels, levels, indexing="ij")
-    gray = 0.299 * r + 0.587 * g + 0.114 * b
-    return np.clip(np.floor(gray + 0.5), 0, 255).astype(np.uint8).ravel()
-
-
-_MASKED_GRAY = _masked_gray_table()
-
-
 def to_masked_gray(image: RgbImage) -> GrayImage:
     """Project to 8-bit grayscale after zeroing the three LSBs of each channel.
 
     The masking makes the result (and therefore the whole detector) identical
     for any two images that differ only in channel bits 0..2. The projection
-    is 0.299/0.587/0.114 luminance rounded half up, looked up per pixel in a
-    table of all 32**3 masked triples.
+    is 0.299/0.587/0.114 luminance rounded half up, computed exactly in
+    integers as (299r + 587g + 114b + 500) // 1000 of the masked channels.
     """
     gray = np.empty((image.height, image.width), dtype=np.uint8)
+    acc = np.empty((_BLOCK_ROWS, image.width), dtype=np.uint32)
     for y0, y1 in _row_blocks(image.height):
-        top = image.pixels[y0:y1] >> 3
-        index = (top[..., 0].astype(np.uint16) << 10) | (top[..., 1].astype(np.uint16) << 5)
-        index |= top[..., 2]
-        np.take(_MASKED_GRAY, index, out=gray[y0:y1])
+        block, luma = image.pixels[y0:y1] & 0xF8, acc[: y1 - y0]
+        # one channel at a time, so the only uint32 temporaries are 2-D
+        np.multiply(block[..., 0], 299, out=luma, dtype=np.uint32)
+        luma += block[..., 1] * np.uint32(587)
+        luma += block[..., 2] * np.uint32(114)
+        luma += 500
+        np.floor_divide(luma, 1000, out=gray[y0:y1], casting="unsafe")  # at most 248
     return GrayImage(gray)
 
 
@@ -152,19 +145,14 @@ def smooth(gray: GrayImage, params: CannyParams) -> GrayImage:
 
 
 def _sobel(window: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Integer Sobel (gx, gy) of the interior rows of an edge-padded window."""
+    """Integer Sobel (gx, gy) of the interior rows of an edge-padded window.
+
+    gx grows with intensity increasing rightward, gy with intensity
+    increasing upward.
+    """
     dx = window[:, 2:] - window[:, :-2]
     sy = window[:, :-2] + 2 * window[:, 1:-1] + window[:, 2:]
     return dx[:-2] + 2 * dx[1:-1] + dx[2:], sy[:-2] - sy[2:]
-
-
-def sobel(smoothed: GrayImage) -> tuple[np.ndarray, np.ndarray]:
-    """3x3 Sobel derivatives with clamp-to-edge borders.
-
-    Returns int32 (gx, gy); gx grows with intensity increasing rightward,
-    gy with intensity increasing upward.
-    """
-    return _sobel(np.pad(smoothed.values, 1, mode="edge").astype(np.int32))
 
 
 def _direction_bins(gx: np.ndarray, gy: np.ndarray) -> np.ndarray:

@@ -5,6 +5,7 @@ import struct
 import numpy as np
 
 from edgestego import RgbImage
+from edgestego.canny import _sobel
 
 
 def make_bmp(pixels, *, top_down=False, dib_size=40, gap=0, bit_count=24,
@@ -71,3 +72,8 @@ def write_row0_bits(pixels, raw):
     bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8))
     flat = pixels[0].reshape(-1)
     flat[: bits.size] = (flat[: bits.size] & 0xFE) | bits
+
+
+def sobel(values):
+    """The detector's int32 Sobel (gx, gy) of a 2-D uint8 array, borders clamped."""
+    return _sobel(np.pad(values, 1, mode="edge").astype(np.int32))

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from edgestego import (
     MalformedFile,
     RgbImage,
+    StegoError,
     UnsupportedFormat,
     ZeroDimension,
     read_bmp,
@@ -180,3 +181,42 @@ def test_rejects_pixel_offset_inside_headers():
     data = make_bmp(np.zeros((1, 1, 3), dtype=np.uint8))
     with pytest.raises(MalformedFile):
         read_bmp(patched(data, 10, "<I", 20))
+
+
+# (offset, size) of every BMP header field a reader acts on, the v4/v5 alpha mask last
+_HEADER_FIELDS = [(2, 4), (10, 4), (14, 4), (18, 4), (22, 4), (26, 2), (28, 2), (30, 4),
+                  (34, 4), (46, 4), (66, 4)]
+_VALID_FILES = [
+    make_bmp(np.arange(60, dtype=np.uint8).reshape(4, 5, 3)),
+    make_bmp(np.arange(42, dtype=np.uint8).reshape(7, 2, 3), top_down=True, dib_size=108),
+    write_bmp(RgbImage(np.full((3, 6, 3), 200, dtype=np.uint8))),
+]
+_MUTATION = st.one_of(
+    st.tuples(st.just("flip"), st.integers(0, 2**16), st.integers(0, 7)),
+    st.tuples(st.just("cut"), st.integers(1, 2**16)),  # bytes cut off the end
+    st.tuples(st.just("set"), st.sampled_from(_HEADER_FIELDS),
+              st.sampled_from([0, -1, 2**31 - 1])),
+    st.tuples(st.just("add"), st.sampled_from(_HEADER_FIELDS), st.integers(-8, 8)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(_VALID_FILES), st.lists(_MUTATION, min_size=1, max_size=4))
+def test_mutated_files_raise_only_stego_errors(data, mutations):
+    buf = bytearray(data)
+    for kind, *args in mutations:
+        if kind == "flip" and buf:
+            position, bit = args
+            buf[position % len(buf)] ^= 1 << bit
+        elif kind == "cut":
+            del buf[max(len(buf) - args[0], 0):]
+        elif kind in ("set", "add"):
+            (offset, size), value = args
+            if offset + size <= len(buf):
+                if kind == "add":
+                    value += int.from_bytes(buf[offset : offset + size], "little")
+                buf[offset : offset + size] = (value % 2 ** (8 * size)).to_bytes(size, "little")
+    try:
+        read_bmp(bytes(buf))
+    except StegoError:
+        pass

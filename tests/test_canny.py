@@ -20,10 +20,10 @@ from edgestego.canny import (
     hysteresis,
     non_max_suppression,
     smooth,
-    sobel,
     to_masked_gray,
 )
 from edgestego.image import GrayImage
+from helpers import sobel
 import oracles
 
 
@@ -70,6 +70,17 @@ def test_masked_gray_matches_scalar_formula():
         for x in range(7):
             r, g, b = (int(c) for c in pixels[y, x])
             assert gray.values[y, x] == oracles.masked_gray_reference(r, g, b)
+
+
+def test_masked_gray_is_the_rounded_luminance():
+    # every masked triple once, over several row blocks: the integer projection
+    # must equal 0.299r + 0.587g + 0.114b rounded half up in float64
+    levels = np.arange(0, 256, 8, dtype=np.uint8)
+    r, g, b = np.meshgrid(levels, levels, levels, indexing="ij")
+    pixels = np.stack([r, g, b], axis=-1).reshape(1024, 32, 3)
+    gray = to_masked_gray(RgbImage(pixels)).values
+    expected = [oracles.masked_gray_reference(*map(int, rgb)) for rgb in pixels.reshape(-1, 3)]
+    assert gray.ravel().tolist() == expected
 
 
 @given(
@@ -160,20 +171,23 @@ def test_sobel_matches_reference_exactly():
     for _ in range(10):
         height, width = (int(v) for v in rng.integers(3, 10, size=2))
         values = rng.integers(0, 256, (height, width), dtype=np.uint8)
-        gx, gy = sobel(_gray(values))
+        gx, gy = sobel(values)
         rx, ry = oracles.sobel_reference(values)
+        assert gx.dtype == gy.dtype == np.int32
         assert np.array_equal(gx, rx)
         assert np.array_equal(gy, ry)
 
 
 def test_sobel_orientation():
     # brighter to the right -> gx positive everywhere, gy zero
-    rightward = _gray(np.tile(np.arange(0, 50, 10, dtype=np.uint8), (5, 1)))
+    rightward = np.tile(np.arange(0, 50, 10, dtype=np.uint8), (5, 1))
     gx, gy = sobel(rightward)
+    assert gx.dtype == gy.dtype == np.int32
     assert (gx > 0).all() and (gy == 0).all()
     # brighter toward the top -> gy positive everywhere, gx zero
-    upward = _gray(np.tile(np.arange(40, -10, -10, dtype=np.uint8)[:, None], (1, 5)))
+    upward = np.tile(np.arange(40, -10, -10, dtype=np.uint8)[:, None], (1, 5))
     gx, gy = sobel(upward)
+    assert gx.dtype == gy.dtype == np.int32
     assert (gx == 0).all() and (gy > 0).all()
 
 

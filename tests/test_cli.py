@@ -6,10 +6,13 @@ import os
 import re
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import edgestego
 import edgestego.cli
@@ -416,6 +419,24 @@ def test_exit_code_table_lists_every_error():
     assert sorted(README_EXIT_CODES) == [cls.__name__ for cls in ERROR_TYPES]
 
 
+# The README's §Library list of what the package exports besides the errors.
+README_LIBRARY = {
+    "read_bmp", "write_bmp", "RgbImage", "EdgeMap", "CannyParams", "detect_edges",
+    "carrier_arrays", "capacity_bytes", "embed", "extract", "read_header", "diff",
+    "verify_stability",
+}
+
+
+def test_package_exports_the_pipeline():
+    public = {
+        name for name, value in vars(edgestego).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    errors = {cls.__name__ for cls in ERROR_TYPES} | {"StegoError"}
+    assert len(errors) == 13
+    assert public == README_LIBRARY | errors
+
+
 @pytest.mark.parametrize("error", ERROR_TYPES, ids=lambda cls: cls.__name__)
 def test_every_error_carries_its_exit_code_and_a_remedy(error):
     assert error.exit_code == README_EXIT_CODES[error.__name__]
@@ -435,3 +456,83 @@ def test_error_subclass_inherits_its_parents_exit_code(monkeypatch, cover):
     assert out == ""
     assert "StrayMagic: planted" in err
     assert f"remedy: {BadMagic.remedy}" in err
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory):
+    """Input files of every kind an invocation may name, and a directory for outputs."""
+    base = tmp_path_factory.mktemp("fuzz")
+    inputs = base / "in"
+    inputs.mkdir()
+    rng = np.random.default_rng(47)
+    cover = write_bmp(RgbImage(rng.integers(0, 256, (36, 40, 3), dtype=np.uint8)))
+    (inputs / "cover.bmp").write_bytes(cover)
+    (inputs / "payload.bin").write_bytes(bytes(range(64)))
+    code, _, err = run_cli([
+        "embed", "--in", str(inputs / "cover.bmp"), "--data", str(inputs / "payload.bin"),
+        "--sigma", "1.5", "--low", "5", "--high", "40", "--out", str(inputs / "carrier.bmp"),
+    ])
+    assert code == 0, err
+    carrier = (inputs / "carrier.bmp").read_bytes()
+    (inputs / "truncated.bmp").write_bytes(carrier[: len(carrier) // 2])
+    flipped = bytearray(carrier)
+    for position in rng.integers(0, len(flipped), 40):
+        flipped[position] ^= 1 << int(rng.integers(0, 8))
+    (inputs / "flipped.bmp").write_bytes(bytes(flipped))
+    (inputs / "junk.bin").write_bytes(rng.bytes(300))
+    (inputs / "empty.bmp").write_bytes(b"")
+    (base / "out").mkdir()
+    (base / "out" / "existing.bmp").write_bytes(b"old")
+    names = ["cover.bmp", "carrier.bmp", "truncated.bmp", "flipped.bmp", "junk.bin",
+             "empty.bmp", "payload.bin", "", "missing.bmp"]  # "" names the directory
+    outputs = ["new.bmp", "existing.bmp", "", "no/such/dir.bmp"]
+    return base, [str(inputs / name) for name in names], [str(base / "out" / n) for n in outputs]
+
+
+_FLAGS = {  # each subcommand's flags, as the parser defines them
+    "embed": ["--in", "--data", "--sigma", "--low", "--high", "--out"],
+    "extract": ["--in", "--out", "--expect-sigma", "--expect-low", "--expect-high"],
+    "capacity": ["--in", "--sigma", "--low", "--high", "--coords"],
+    "edges": ["--in", "--sigma", "--low", "--high", "--out"],
+    "inspect": ["--in"],
+    "metrics": ["--a", "--b", "--machine"],
+}
+# valid values come first and three times over, so most draws are valid
+_SIGMAS = ["1.5", "1.0", "3.0"] * 3 + ["0.9", "3.1", "1.55", "2", "x", "-1.5", "99999999999999.9"]
+_NUMBERS = ["5", "40", "0", "255"] * 3 + ["256", "-1", "1000", "x", "1e3"]
+
+
+@st.composite
+def _argv(draw, paths, outputs):
+    subcommand = draw(st.sampled_from([*_FLAGS, "frobnicate", "--version", "--help"]))
+    argv = [subcommand]
+    for flag in _FLAGS.get(subcommand, []):
+        if draw(st.sampled_from([False] * 9 + [True])):
+            continue  # a missing flag, required or not
+        if flag == "--machine":
+            argv.append(flag)
+        elif flag == "--out":
+            argv += [flag, draw(st.sampled_from(outputs))]
+        elif flag in ("--in", "--data", "--a", "--b"):
+            argv += [flag, draw(st.sampled_from(paths))]
+        elif "sigma" in flag:
+            argv += [flag, draw(st.sampled_from(_SIGMAS))]
+        else:
+            argv += [flag, draw(st.sampled_from(_NUMBERS))]
+    extra = draw(st.sampled_from([None] * 9 + ["--bogus", "extra", "--in"]))
+    return argv if extra is None else [*argv, extra]
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_random_invocations_exit_cleanly_and_leave_no_temp_file(fuzz_files, data):
+    base, paths, outputs = fuzz_files
+    argv = data.draw(_argv(paths, outputs))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse: usage errors, --help, --version
+            code = exc.code
+    assert code in range(6), (argv, err.getvalue())
+    assert [p for p in base.rglob("*") if p.name.endswith(".tmp")] == []
