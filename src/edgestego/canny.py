@@ -7,9 +7,11 @@ correctly rounded IEEE square root per pixel; the gray projection is integer
 arithmetic, directions are binned by integer tests and every stage rounds
 back to integers. The gray projection zeroes the three LSBs of every
 channel first, so the whole pipeline is invariant under any payload written
-into those bits. Every stage but the hysteresis labelling works on blocks of
-``_BLOCK_ROWS`` rows, table lookups and gathers included, so its temporaries
-stay in cache; no value depends on blocking.
+into those bits. Every stage works on blocks of ``_BLOCK_ROWS`` rows, gathers
+included, so its temporaries stay in cache; no value depends on blocking.
+Only the hysteresis labelling spans the image, and it labels just the weak
+pixels, in a copy of the rows that hold them: strong pixels are edges
+whatever their neighbours, so they need no label.
 """
 
 from __future__ import annotations
@@ -194,13 +196,15 @@ def gradients(smoothed: GrayImage) -> tuple[np.ndarray, np.ndarray]:
         raw[y0:y1] = block  # the cast truncates: round half up
         direction[y0:y1] = _direction_bins(gx, gy)
 
-    # round-half-up of 255*raw/peak in integer arithmetic, tabulated per raw
-    # value; a flat image (peak 0) maps to all zeros
+    # round-half-up of 255*raw/peak in integer arithmetic; 510 * 1443 + 1443
+    # fits in uint32, and a flat image (peak 0) maps to all zeros
     peak = max(int(raw.max()), 1)
-    rescale = ((510 * np.arange(peak + 1) + peak) // (2 * peak)).astype(np.uint8)
     magnitude = np.empty_like(smoothed.values)
+    acc = np.empty((_BLOCK_ROWS, smoothed.width), dtype=np.uint32)
     for y0, y1 in _row_blocks(smoothed.height):
-        np.take(rescale, raw[y0:y1], out=magnitude[y0:y1])
+        scaled = np.multiply(raw[y0:y1], 510, out=acc[: y1 - y0], dtype=np.uint32)
+        scaled += peak
+        np.floor_divide(scaled, 2 * peak, out=magnitude[y0:y1], casting="unsafe")  # at most 255
     return magnitude, direction
 
 
@@ -229,18 +233,42 @@ def hysteresis(thinned: np.ndarray, params: CannyParams) -> EdgeMap:
 
     Strong pixels (magnitude >= high) are always edges; weak pixels
     (low <= magnitude < high) are edges only when reachable from a strong
-    pixel through a chain of 8-connected weak/strong pixels. Reachability is
-    order-independent, so so is the result.
+    pixel through a chain of 8-connected weak/strong pixels. The first strong
+    pixel on such a chain ends a run of weak ones, so a weak pixel is an edge
+    exactly when its weak-only component touches a strong pixel: only the
+    weak pixels are labelled, and the strong mask is the output as it is.
+    Reachability is order-independent, so so is the result.
     """
-    # label the candidates (weak or strong, as low <= high), then keep the
-    # components that hold a strong pixel; neither mask outlives its use
-    labels, n_components = ndimage.label(thinned >= params.low_threshold, np.ones((3, 3), bool))
+    weak = thinned >= params.low_threshold
+    weak ^= thinned >= params.high_threshold
+    holds = weak.any(axis=1)
+    # each row holding a weak pixel and the row after it: where two kept rows
+    # meet that were not adjacent, the first is blank, so the compacted copy
+    # joins and splits no component
+    rows = np.flatnonzero(holds | np.r_[False, holds[:-1]])
+    compact = weak[rows]
+    del weak  # the int32 labels are the peak; no full-size mask is held beside them
+    labels, n_components = ndimage.label(compact, np.ones((3, 3), bool))
+    del compact
+
+    edges = thinned >= params.high_threshold
+    last = len(edges) - 1
     keep = np.zeros(n_components + 1, dtype=bool)
-    keep[labels[thinned >= params.high_threshold]] = True  # strong pixels never carry label 0
-    membership = np.empty(labels.shape, dtype=bool)
-    for y0, y1 in _row_blocks(labels.shape[0]):
-        np.take(keep, labels[y0:y1], out=membership[y0:y1])
-    return EdgeMap(membership)
+    for i0, i1 in _row_blocks(len(rows)):
+        r, block = rows[i0:i1], labels[i0:i1]
+        # a strong pixel in the 3x3 window of each kept pixel: the rows above
+        # and below (clipped at the border), then one column either way
+        near = edges[np.maximum(r - 1, 0)] | edges[r] | edges[np.minimum(r + 1, last)]
+        touch = near.copy()
+        touch[:, 1:] |= near[:, :-1]
+        touch[:, :-1] |= near[:, 1:]
+        touch &= block != 0
+        keep[block[touch]] = True
+    # only now, with every seed found, may weak pixels join the strong mask
+    linked = np.empty((_BLOCK_ROWS, edges.shape[1]), dtype=bool)
+    for i0, i1 in _row_blocks(len(rows)):
+        edges[rows[i0:i1]] |= np.take(keep, labels[i0:i1], out=linked[: i1 - i0])
+    return EdgeMap(edges)
 
 
 def detect_edges(image: RgbImage, params: CannyParams) -> EdgeMap:

@@ -75,8 +75,12 @@ def _write_file(path: str, data: bytes):
     """
     directory, name = os.path.split(os.path.abspath(path))
     temp = os.path.join(directory, f".{name}.{secrets.token_hex(4)}.tmp")
-    # mode 0o666 less the umask, as open() gives; mkstemp would make it 0o600
-    fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        # mode 0o666 less the umask, as open() gives; mkstemp would make it 0o600
+        fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    except OSError as exc:
+        exc.filename = path  # the user never named the temporary file
+        raise
     try:
         with os.fdopen(fd, "wb") as handle:
             handle.write(data)

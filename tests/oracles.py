@@ -8,6 +8,7 @@ between the two is meaningful evidence.
 import math
 
 import numpy as np
+from scipy import ndimage
 
 
 def masked_gray_reference(r, g, b):
@@ -193,3 +194,16 @@ def count_components(membership):
                                 seen[ny, nx] = True
                                 stack.append((ny, nx))
     return count
+
+
+def hysteresis_dense_reference(thinned, low, high):
+    """Double threshold plus edge linking by labelling every candidate.
+
+    Label the 8-connected components of the candidates (magnitude >= low)
+    and keep those that hold a strong pixel (magnitude >= high). Unlike
+    ``hysteresis_reference`` it runs at full image sizes.
+    """
+    labels, count = ndimage.label(thinned >= low, np.ones((3, 3), bool))
+    keep = np.zeros(count + 1, dtype=bool)
+    keep[labels[thinned >= high]] = True  # strong pixels never carry label 0
+    return keep[labels]

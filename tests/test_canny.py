@@ -4,6 +4,7 @@ reference, plus the invariance property the whole scheme rests on."""
 import hashlib
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -215,13 +216,15 @@ def test_magnitude_rescale_is_exact_rounding():
 
 def test_gradient_magnitude_matches_scalar_pipeline():
     rng = np.random.default_rng(3)
-    values = rng.integers(0, 256, (6, 7), dtype=np.uint8)
-    magnitude, _ = gradients(_gray(values))
-    gx, gy = oracles.sobel_reference(values)
-    raw = np.floor(np.hypot(gx, gy) + 0.5).astype(np.int64)
-    peak = int(raw.max())
-    expected = (510 * raw + peak) // (2 * peak)
-    assert np.array_equal(magnitude, expected.astype(np.uint8))
+    # one block, then heights that span several blocks
+    for shape in ((6, 7), (70, 40), (70, 40), (70, 40), (2 * _BLOCK + 1, 9)):
+        values = rng.integers(0, 256, shape, dtype=np.uint8)
+        magnitude, _ = gradients(_gray(values))
+        gx, gy = oracles.sobel_reference(values)
+        raw = np.floor(np.hypot(gx, gy) + 0.5).astype(np.int64)
+        peak = int(raw.max())
+        expected = (510 * raw + peak) // (2 * peak)
+        assert np.array_equal(magnitude, expected.astype(np.uint8))
 
 
 def test_direction_bins_match_reference():
@@ -356,17 +359,102 @@ def test_hysteresis_below_low_is_dropped():
     assert hysteresis(thinned, CannyParams(10, 20, 40)).count == 0
 
 
-def test_hysteresis_matches_fixpoint_reference():
+def _hysteresis_cases():
+    """(thinned, low, high) triples; the built maps use 25 as weak and 90 as
+    strong at thresholds (20, 40)."""
     rng = np.random.default_rng(31)
     for _ in range(20):
         height, width = (int(v) for v in rng.integers(1, 13, size=2))
         thinned = rng.integers(0, 256, (height, width), dtype=np.uint8)
         low = int(rng.integers(0, 200))
-        high = int(rng.integers(low, 256))
+        yield thinned, low, int(rng.integers(low, 256))
+
+    # weak pixels confined to some rows; the others hold only zeros and strong pixels
+    for _ in range(10):
+        height, width = (int(v) for v in rng.integers(1, 40, size=2))
+        thinned = rng.choice(np.array([0, 25, 90], np.uint8), (height, width), p=[0.5, 0.3, 0.2])
+        plain = rng.random(height) < 0.6
+        thinned[plain] = np.where(thinned[plain] == 25, 0, thinned[plain])
+        yield thinned, 20, 40
+
+    # gaps of one and of two empty rows, crossed straight and diagonally;
+    # the seed sits beside the top weak pixel, which alone may be linked
+    for gap, shift in itertools.product((1, 2), (0, 1)):
+        thinned = np.zeros((gap + 3, 4), dtype=np.uint8)
+        thinned[0, 0], thinned[0, 1], thinned[gap + 1, 1 + shift] = 90, 25, 25
+        yield thinned, 20, 40
+
+    # strong seeds only in rows that hold no weak pixel: above, below, diagonal
+    for seed_row, seed_col in ((0, 2), (2, 2), (0, 1), (2, 3), (2, 0)):
+        thinned = np.zeros((3, 5), dtype=np.uint8)
+        thinned[1, 1:4] = 25
+        thinned[seed_row, seed_col] = 90
+        yield thinned, 20, 40
+
+    # one weak column seeded only at its far end, and random maps, at heights
+    # that fall on both sides of the row-block seams
+    for height in (1, 2, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK, 2 * _BLOCK + 1, 100):
+        thinned = np.zeros((height, 3), dtype=np.uint8)
+        thinned[:, 1] = 25
+        thinned[-1, 2] = 90
+        yield thinned, 20, 40
+        rows = rng.random(height) < 0.5
+        yield rng.integers(0, 256, (height, 5), dtype=np.uint8) * rows[:, None], 20, 40
+
+    # no weak pixel at all: zeros and strong pixels only, or low == high
+    yield np.zeros((5, 5), dtype=np.uint8), 20, 40
+    yield np.where(rng.random((9, 9)) < 0.3, 90, 0).astype(np.uint8), 20, 40
+    yield rng.integers(0, 256, (9, 9), dtype=np.uint8), 40, 40
+
+
+def test_hysteresis_matches_fixpoint_reference():
+    for thinned, low, high in _hysteresis_cases():
         edges = hysteresis(thinned, CannyParams(15, low, high))
         assert np.array_equal(
             edges.membership, oracles.hysteresis_reference(thinned, low, high)
         )
+
+
+def _photo_like(rng, n):
+    """A smooth colour ramp with filled squares on it and +-3 of noise."""
+    yy, xx = np.mgrid[0:n, 0:n] * (130 / n)
+    pixels = np.stack([60 + yy, 60 + xx, 190 - yy], axis=2)
+    side = n // 8
+    for _ in range(12):
+        y, x = (int(v) for v in rng.integers(0, n - side, size=2))
+        pixels[y : y + side, x : x + side] += rng.uniform(-60, 60)
+    pixels += rng.uniform(-3, 3, pixels.shape)
+    return np.clip(pixels, 0, 255).astype(np.uint8)
+
+
+@pytest.mark.parametrize("kind", ["noise", "photo"])
+def test_hysteresis_matches_dense_labelling_on_large_maps(kind):
+    rng = np.random.default_rng(8)
+    pixels = (rng.integers(0, 256, (512, 512, 3), dtype=np.uint8) if kind == "noise"
+              else _photo_like(rng, 512))
+    gray = to_masked_gray(RgbImage(pixels))
+    thinned = non_max_suppression(*gradients(smooth(gray, CannyParams(15, 5, 40))))
+    for low, high in ((5, 40), (20, 60), (0, 255), (1, 255), (40, 40)):
+        edges = hysteresis(thinned, CannyParams(15, low, high))
+        assert np.array_equal(
+            edges.membership, oracles.hysteresis_dense_reference(thinned, low, high)
+        )
+
+
+@pytest.mark.parametrize("low", [0, 1])
+def test_hysteresis_peak_memory_on_mostly_weak_maps(low):
+    # at high 255 nearly every candidate is weak, so the labels span the image
+    rng = np.random.default_rng(9)
+    gray = to_masked_gray(RgbImage(rng.integers(0, 256, (512, 512, 3), dtype=np.uint8)))
+    thinned = non_max_suppression(*gradients(smooth(gray, CannyParams(10, 5, 40))))
+    params = CannyParams(10, low, 255)
+    tracemalloc.start()
+    try:
+        hysteresis(thinned, params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * thinned.size
 
 
 # ------------------------------------------------------------ whole pipeline

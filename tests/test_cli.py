@@ -299,6 +299,19 @@ def test_unwritable_output_exits_two(tmp_path, cover):
     assert code == 2
 
 
+def test_unwritable_output_names_the_path_given(tmp_path, cover, monkeypatch):
+    data = tmp_path / "p.bin"
+    data.write_bytes(b"x")
+    monkeypatch.chdir(tmp_path)
+    code, _, err = run_cli([
+        "embed", "--in", str(cover), "--data", str(data),
+        "--sigma", "1.5", "--low", "5", "--high", "40", "--out", "no/such/x.bmp",
+    ])
+    assert code == 2
+    assert "no/such/x.bmp" in err
+    assert ".tmp" not in err
+
+
 @pytest.mark.parametrize("subcommand", ["embed", "extract", "edges"])
 def test_failed_write_exits_two_and_leaves_no_file(tmp_path, cover, carrier, subcommand):
     # --out names a directory: the final rename fails after the bytes were
