@@ -20,9 +20,9 @@ from . import __version__
 from .bmp import read_bmp, write_bmp
 from .canny import CannyParams, detect_edges
 from .carrier import BITS_PER_CARRIER, capacity_of, carrier_arrays
-from .codec import HEADER_MAGIC, HEADER_VERSION, embed_at, extract, read_header
+from .codec import HEADER_MAGIC, HEADER_VERSION, check_geometry, embed_at, extract, read_header
 from .errors import CorruptHeader, StegoError
-from .image import RgbImage
+from .image import EdgeMap, RgbImage
 from .metrics import diff
 
 EXIT_USAGE = 1
@@ -91,7 +91,18 @@ def _write_file(path: str, data: bytes):
         raise
 
 
-def _cmd_embed(args) -> int:
+def _header_lines(params: CannyParams, payload_len: int) -> list[str]:
+    return [f"sigma: {params.sigma:.1f}", f"low threshold: {params.low_threshold}",
+            f"high threshold: {params.high_threshold}", f"payload bytes: {payload_len}"]
+
+
+def _detect(args) -> tuple[RgbImage, EdgeMap]:
+    params = CannyParams(args.sigma, args.low, args.high)
+    image = _load_image(args.in_path)
+    return image, detect_edges(image, params)
+
+
+def _cmd_embed(args) -> list[str]:
     params = CannyParams(args.sigma, args.low, args.high)
     cover = _load_image(args.in_path)
     with open(args.data, "rb") as handle:
@@ -99,14 +110,11 @@ def _cmd_embed(args) -> int:
 
     carriers = carrier_arrays(detect_edges(cover, params))
     _write_file(args.out, write_bmp(embed_at(cover, payload, params, carriers)))
-
-    print(f"carrier pixels: {carriers.size}")
-    print(f"capacity bytes: {capacity_of(carriers.size)}")
-    print(f"payload bytes: {len(payload)}")
-    return 0
+    return [f"carrier pixels: {carriers.size}", f"capacity bytes: {capacity_of(carriers.size)}",
+            f"payload bytes: {len(payload)}"]
 
 
-def _cmd_extract(args) -> int:
+def _cmd_extract(args) -> list[str]:
     # range-check each expectation on its own; the unset ones get in-range stand-ins
     sigma, low, high = args.expect_sigma, args.expect_low, args.expect_high
     CannyParams(10 if sigma is None else sigma, 0 if low is None else low, 255)
@@ -125,70 +133,49 @@ def _cmd_extract(args) -> int:
 
     payload, params = extract(carrier)
     _write_file(args.out, payload)
-
-    print(f"sigma: {params.sigma:.1f}")
-    print(f"low threshold: {params.low_threshold}")
-    print(f"high threshold: {params.high_threshold}")
-    print(f"payload bytes: {len(payload)}")
-    return 0
+    return _header_lines(params, len(payload))
 
 
-def _cmd_capacity(args) -> int:
-    params = CannyParams(args.sigma, args.low, args.high)
-    image = _load_image(args.in_path)
-    edges = detect_edges(image, params)
+def _cmd_capacity(args) -> list[str]:
+    image, edges = _detect(args)
+    check_geometry(image)  # a cover that embed refuses has no capacity to report
     carriers = carrier_arrays(edges)
-
-    print(f"edge pixels: {edges.count}")
-    print(f"carrier pixels: {carriers.size}")
-    print(f"capacity bits: {BITS_PER_CARRIER * carriers.size}")
-    print(f"capacity bytes: {capacity_of(carriers.size)}")
+    lines = [f"edge pixels: {edges.count}", f"carrier pixels: {carriers.size}",
+             f"capacity bits: {BITS_PER_CARRIER * carriers.size}",
+             f"capacity bytes: {capacity_of(carriers.size)}"]
     if args.coords:
         ys, xs = np.divmod(carriers[: args.coords], edges.width)
-        print(" ; ".join(f"({x:03d},{y:03d})" for x, y in zip(xs.tolist(), ys.tolist())))
-    return 0
+        lines.append(" ; ".join(f"({x:03d},{y:03d})" for x, y in zip(xs.tolist(), ys.tolist())))
+    return lines
 
 
-def _cmd_edges(args) -> int:
-    params = CannyParams(args.sigma, args.low, args.high)
-    image = _load_image(args.in_path)
-    edges = detect_edges(image, params)
-
+def _cmd_edges(args) -> list[str]:
+    _, edges = _detect(args)
     rendered = np.zeros((edges.height, edges.width, 3), dtype=np.uint8)
     rendered[edges.membership] = 255
     _write_file(args.out, write_bmp(RgbImage(rendered)))
-    print(f"edge pixels: {edges.count}")
-    return 0
+    return [f"edge pixels: {edges.count}"]
 
 
-def _cmd_inspect(args) -> int:
+def _cmd_inspect(args) -> list[str]:
     header = read_header(_load_image(args.in_path))
-    print(f"magic: 0x{HEADER_MAGIC:04X}")
-    print(f"version: {HEADER_VERSION}")
-    print(f"sigma: {header.params.sigma:.1f}")
-    print(f"low threshold: {header.params.low_threshold}")
-    print(f"high threshold: {header.params.high_threshold}")
-    print(f"payload bytes: {header.payload_len}")
-    return 0
+    return [f"magic: 0x{HEADER_MAGIC:04X}", f"version: {HEADER_VERSION}",
+            *_header_lines(header.params, header.payload_len)]
 
 
-def _cmd_metrics(args) -> int:
+def _cmd_metrics(args) -> list[str]:
     report = diff(_load_image(args.a), _load_image(args.b))
     psnr = "inf" if report.psnr_db == float("inf") else f"{report.psnr_db:.4f}"
+    fields = [  # (--machine key, aligned label, value)
+        ("changed_pixels", "changed pixels:", report.changed_pixels),
+        ("changed_channels", "changed channels:", report.changed_channels),
+        ("max_channel_delta", "max channel delta:", report.max_channel_delta),
+        ("mse", "mse:", f"{report.mse:.6f}"),
+        ("psnr_db", "psnr (dB):", psnr),
+    ]
     if args.machine:
-        print(
-            f"changed_pixels={report.changed_pixels} "
-            f"changed_channels={report.changed_channels} "
-            f"max_channel_delta={report.max_channel_delta} "
-            f"mse={report.mse:.6f} psnr_db={psnr}"
-        )
-    else:
-        print(f"changed pixels:    {report.changed_pixels}")
-        print(f"changed channels:  {report.changed_channels}")
-        print(f"max channel delta: {report.max_channel_delta}")
-        print(f"mse:               {report.mse:.6f}")
-        print(f"psnr (dB):         {psnr}")
-    return 0
+        return [" ".join(f"{key}={value}" for key, _, value in fields)]
+    return [f"{label:<18} {value}" for _, label, value in fields]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -247,16 +234,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except OSError as exc:
+        print("\n".join(args.func(args)))  # nothing reaches stdout unless the command succeeded
+        return 0
+    except (OSError, StegoError) as exc:
+        io_error = isinstance(exc, OSError)
+        remedy = "check the file paths and permissions" if io_error else exc.remedy
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        print("remedy: check the file paths and permissions", file=sys.stderr)
-        return EXIT_IO
-    except StegoError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        if exc.remedy:
-            print(f"remedy: {exc.remedy}", file=sys.stderr)
-        return exc.exit_code
+        if remedy:
+            print(f"remedy: {remedy}", file=sys.stderr)
+        return EXIT_IO if io_error else exc.exit_code
 
 
 if __name__ == "__main__":

@@ -97,7 +97,8 @@ def _from_fields(fields: np.ndarray, width: int, size: int) -> bytes:
     return np.packbits(bits.reshape(-1)[: 8 * size]).tobytes()
 
 
-def _check_geometry(image: RgbImage):
+def check_geometry(image: RgbImage):
+    """Raise unless ``image`` fits the 3x3 detector window and the header row."""
     check_min_size(image)
     if image.width < HEADER_PIXELS:
         raise ImageTooNarrow(
@@ -107,7 +108,7 @@ def _check_geometry(image: RgbImage):
 
 def read_header(carrier: RgbImage) -> StegoHeader:
     """Parse and validate the embedded header without touching the payload."""
-    _check_geometry(carrier)
+    check_geometry(carrier)
     row = carrier.pixels[0].reshape(-1)
     return StegoHeader.from_bytes(_from_fields(row[:HEADER_BITS], 1, HEADER_BITS // 8))
 
@@ -127,7 +128,7 @@ def embed_at(image: RgbImage, payload: bytes, params: CannyParams,
 
     ``carriers`` must be ``carrier_arrays(detect_edges(image, params))``.
     """
-    _check_geometry(image)
+    check_geometry(image)
     if len(payload) > MAX_PAYLOAD_BYTES:
         raise CapacityExceeded(required=len(payload), available=MAX_PAYLOAD_BYTES)
     capacity = capacity_of(carriers.size)

@@ -64,6 +64,39 @@ def carrier(tmp_path, cover):
     return out, payload
 
 
+_PARAMS = ["--sigma", "1.5", "--low", "5", "--high", "40"]
+_CAPACITY = "edge pixels: 496\ncarrier pixels: 485\ncapacity bits: 4365\ncapacity bytes: 545\n"
+_HEADER = "sigma: 1.5\nlow threshold: 5\nhigh threshold: 40\npayload bytes: 64\n"
+
+
+@pytest.mark.parametrize("argv,expected", [
+    (["capacity", "--in", "{cover}", *_PARAMS], _CAPACITY),
+    (["capacity", "--in", "{cover}", *_PARAMS, "--coords", "3"],
+     _CAPACITY + "(006,001) ; (008,001) ; (010,001)\n"),
+    (["embed", "--in", "{cover}", "--data", "{data}", *_PARAMS, "--out", "{out}"],
+     "carrier pixels: 485\ncapacity bytes: 545\npayload bytes: 64\n"),
+    (["extract", "--in", "{carrier}", "--out", "{out}"], _HEADER),
+    (["inspect", "--in", "{carrier}"], "magic: 0x5347\nversion: 1\n" + _HEADER),
+    (["edges", "--in", "{cover}", *_PARAMS, "--out", "{out}"], "edge pixels: 496\n"),
+    (["metrics", "--a", "{cover}", "--b", "{carrier}"],
+     "changed pixels:    79\n"
+     "changed channels:  180\n"
+     "max channel delta: 7\n"
+     "mse:               0.404861\n"
+     "psnr (dB):         52.0577\n"),
+    (["metrics", "--a", "{cover}", "--b", "{carrier}", "--machine"],
+     "changed_pixels=79 changed_channels=180 max_channel_delta=7 mse=0.404861 psnr_db=52.0577\n"),
+], ids=["capacity", "capacity-coords", "embed", "extract", "inspect", "edges", "metrics",
+        "metrics-machine"])
+def test_stdout_is_pinned_byte_for_byte(tmp_path, cover, carrier, argv, expected):
+    carrier_path, payload = carrier
+    data = tmp_path / "pinned.bin"
+    data.write_bytes(payload)
+    paths = {"cover": cover, "carrier": carrier_path, "data": data, "out": tmp_path / "pinned.out"}
+    code, out, err = run_cli([arg.format(**paths) for arg in argv])
+    assert (code, out, err) == (0, expected, "")
+
+
 def test_embed_reports_the_numbers(tmp_path, cover):
     data = tmp_path / "p.bin"
     data.write_bytes(b"covert")
@@ -385,6 +418,24 @@ def test_too_narrow_image_exits_three(tmp_path):
     ])
     assert code == 3
     assert "ImageTooNarrow" in err
+
+
+def test_capacity_refuses_a_cover_that_embed_refuses(tmp_path):
+    # 10 pixels wide: the detector finds room, but the 27-pixel header row does not fit
+    rng = np.random.default_rng(5)
+    narrow = tmp_path / "narrow.bmp"
+    narrow.write_bytes(write_bmp(RgbImage(rng.integers(0, 256, (36, 10, 3), dtype=np.uint8))))
+    data = tmp_path / "p.bin"
+    data.write_bytes(b"x")
+    embedded = run_cli([
+        "embed", "--in", str(narrow), "--data", str(data), *_PARAMS,
+        "--out", str(tmp_path / "c.bmp"),
+    ])
+    code, out, err = run_cli(["capacity", "--in", str(narrow), *_PARAMS])
+    assert embedded[0] == code == 3
+    assert embedded[1] == out == ""
+    assert embedded[2] == err
+    assert "ImageTooNarrow" in err and "remedy: " in err
 
 
 def test_oversized_payload_exits_four(tmp_path, cover):
