@@ -17,10 +17,10 @@ whatever their neighbours, so they need no label.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import ImageTooSmall, ParamOutOfRange
 from .image import EdgeMap, GrayImage, RgbImage
@@ -44,6 +44,11 @@ class CannyParams:
     high_threshold: int
 
     def __post_init__(self):
+        for name, value in vars(self).items():
+            try:
+                operator.index(value)  # Python and numpy integers pass; floats and text do not
+            except TypeError:
+                raise ParamOutOfRange(f"{name} must be an integer, got {value!r}") from None
         if not SIGMA_TENTHS_MIN <= self.sigma_tenths <= SIGMA_TENTHS_MAX:
             # in tenths, not sigma: a CLI value too large for a float still formats
             raise ParamOutOfRange(f"sigma must be 1.0..3.0, got {self.sigma_tenths} tenths")
@@ -58,14 +63,6 @@ class CannyParams:
     @property
     def sigma(self) -> float:
         return self.sigma_tenths / 10.0
-
-    @classmethod
-    def from_sigma(cls, sigma: float, low_threshold: int, high_threshold: int) -> "CannyParams":
-        """Build params from a real sigma; it must be an exact multiple of 0.1."""
-        tenths = round(sigma * 10)
-        if abs(tenths - sigma * 10) > 1e-9:
-            raise ParamOutOfRange(f"sigma must be a multiple of 0.1, got {sigma}")
-        return cls(tenths, low_threshold, high_threshold)
 
 
 def check_min_size(image: RgbImage):
@@ -141,8 +138,8 @@ def smooth(gray: GrayImage, params: CannyParams) -> GrayImage:
         _correlate(lambda t: src[:, t : t + width], kernel, rows[done : n + span], tmp[: len(src)])
         block = acc[:n]
         _correlate(lambda t: rows[t : t + n], kernel, block, tmp[:n])
-        block += 0.5
-        out[y0:y1] = np.clip(block, 0, 255, out=block)  # the cast truncates: a floor, as >= 0
+        # taps > 0 summing to 1 keep this in [0.5, 255.5 + 1e-12]: the cast rounds, no clip
+        np.add(block, 0.5, out=out[y0:y1], casting="unsafe")
     return GrayImage(out)
 
 
@@ -239,6 +236,8 @@ def hysteresis(thinned: np.ndarray, params: CannyParams) -> EdgeMap:
     weak pixels are labelled, and the strong mask is the output as it is.
     Reachability is order-independent, so so is the result.
     """
+    from scipy import ndimage  # here, so commands that detect nothing skip its ~0.3 s import
+
     weak = thinned >= params.low_threshold
     weak ^= thinned >= params.high_threshold
     holds = weak.any(axis=1)

@@ -73,22 +73,21 @@ def _write_file(path: str, data: bytes):
     ``path`` in one rename, so ``path`` never holds part of the output; on
     an error (or Ctrl-C) the new file is removed again.
     """
-    directory, name = os.path.split(os.path.abspath(path))
+    directory, name = os.path.split(path)
     temp = os.path.join(directory, f".{name}.{secrets.token_hex(4)}.tmp")
     try:
         # mode 0o666 less the umask, as open() gives; mkstemp would make it 0o600
         fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
-    except OSError as exc:
-        exc.filename = path  # the user never named the temporary file
-        raise
-    try:
-        with os.fdopen(fd, "wb") as handle:
-            handle.write(data)
-        os.replace(temp, path)
-    except BaseException:
-        with contextlib.suppress(OSError):
-            os.unlink(temp)
-        raise
+        try:
+            with os.fdopen(fd, "wb") as handle:
+                handle.write(data)
+            os.replace(temp, path)
+        except BaseException:
+            with contextlib.suppress(OSError):
+                os.unlink(temp)
+            raise
+    except OSError as exc:  # name only the path given: the user never named the temporary file
+        raise OSError(exc.errno, exc.strerror, path) from exc  # same subclass, by errno
 
 
 def _header_lines(params: CannyParams, payload_len: int) -> list[str]:

@@ -97,6 +97,86 @@ def test_stdout_is_pinned_byte_for_byte(tmp_path, cover, carrier, argv, expected
     assert (code, out, err) == (0, expected, "")
 
 
+_PARAM_REMEDY = "remedy: use --sigma 1.0..3.0 and thresholds 0..255 with low <= high\n"
+_IO_REMEDY = "remedy: check the file paths and permissions\n"
+_NARROW = ("error: ImageTooNarrow: header row needs 27 pixels, image is 10 wide\n"
+           "remedy: the header row needs 27 pixels; use an image at least 27 wide\n")
+_ERROR_CASES = {  # id: (argv, exit code, stderr with tmp_path written as {tmp})
+    "sigma-format": (
+        ["capacity", "--in", "{cover}", "--sigma", "1.55", "--low", "5", "--high", "40"], 1,
+        "usage: edgestego capacity [-h] --in BMP --sigma S --low T --high T\n"
+        "                          [--coords N]\n"
+        "edgestego capacity: error: argument --sigma: sigma must be a decimal with exactly"
+        " one fractional digit (e.g. 1.5), got '1.55'\n"),
+    "sigma-range": (
+        ["capacity", "--in", "{cover}", "--sigma", "3.5", "--low", "5", "--high", "40"], 1,
+        "error: ParamOutOfRange: sigma must be 1.0..3.0, got 35 tenths\n" + _PARAM_REMEDY),
+    "low-range": (
+        ["capacity", "--in", "{cover}", "--sigma", "1.5", "--low", "300", "--high", "40"], 1,
+        "error: ParamOutOfRange: low threshold must be 0..255, got 300\n" + _PARAM_REMEDY),
+    "expect-low-range": (
+        ["extract", "--in", "{carrier}", "--out", "{out}", "--expect-low", "300"], 1,
+        "error: ParamOutOfRange: low threshold must be 0..255, got 300\n" + _PARAM_REMEDY),
+    "low-above-high": (
+        ["capacity", "--in", "{cover}", "--sigma", "1.5", "--low", "50", "--high", "40"], 1,
+        "error: ParamOutOfRange: low threshold 50 exceeds high 40\n" + _PARAM_REMEDY),
+    "missing-input": (
+        ["capacity", "--in", "{tmp}/nope.bmp", *_PARAMS], 2,
+        "error: FileNotFoundError: [Errno 2] No such file or directory: '{tmp}/nope.bmp'\n"
+        + _IO_REMEDY),
+    "not-bmp": (
+        ["capacity", "--in", "{junk}", *_PARAMS], 3,
+        "error: MalformedFile: missing 'BM' signature\n"
+        "remedy: the input is not a readable BMP file; check the path and file contents\n"),
+    "narrow-embed": (
+        ["embed", "--in", "{narrow}", "--data", "{data}", *_PARAMS, "--out", "{out}"], 3,
+        _NARROW),
+    "narrow-capacity": (["capacity", "--in", "{narrow}", *_PARAMS], 3, _NARROW),
+    "oversized-payload": (
+        ["embed", "--in", "{cover}", "--data", "{big}", *_PARAMS, "--out", "{out}"], 4,
+        "error: CapacityExceeded: payload needs 100000 bytes but the image can hold 545\n"
+        "remedy: use a smaller payload, a busier image, or lower thresholds\n"),
+    "inspect-plain": (
+        ["inspect", "--in", "{cover}"], 5,
+        "error: BadMagic: expected magic 0x5347, found 0xE10B\n"
+        "remedy: this image carries no embedded header; check you have the right file\n"),
+    "expect-sigma-mismatch": (
+        ["extract", "--in", "{carrier}", "--out", "{out}", "--expect-sigma", "2.0"], 5,
+        "error: CorruptHeader: --expect-sigma mismatch: carrier header says 15, expected 20\n"
+        "remedy: the header bits are damaged; the carrier was modified in transit\n"),
+    "metrics-size": (
+        ["metrics", "--a", "{cover}", "--b", "{narrow}"], 3,
+        "error: DimensionMismatch: 40x36 vs 10x36\n"
+        "remedy: compare two images of the same width and height\n"),
+    "out-unwritable": (
+        ["extract", "--in", "{carrier}", "--out", "{tmp}/no/such/x.bin"], 2,
+        "error: FileNotFoundError: [Errno 2] No such file or directory: '{tmp}/no/such/x.bin'\n"
+        + _IO_REMEDY),
+    "out-is-a-directory": (
+        ["extract", "--in", "{carrier}", "--out", "{tmp}/taken"], 2,
+        "error: IsADirectoryError: [Errno 21] Is a directory: '{tmp}/taken'\n" + _IO_REMEDY),
+}
+
+
+@pytest.mark.parametrize("argv,expected_code,expected_err", _ERROR_CASES.values(),
+                         ids=_ERROR_CASES)
+def test_error_paths_are_pinned_byte_for_byte(tmp_path, cover, carrier, monkeypatch, argv,
+                                              expected_code, expected_err):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its usage line to the terminal
+    rng = np.random.default_rng(5)
+    narrow = tmp_path / "narrow.bmp"
+    narrow.write_bytes(write_bmp(RgbImage(rng.integers(0, 256, (36, 10, 3), dtype=np.uint8))))
+    (tmp_path / "junk.bmp").write_bytes(b"this is not a bitmap at all")
+    (tmp_path / "big.bin").write_bytes(bytes(100_000))
+    (tmp_path / "taken").mkdir()
+    paths = {"tmp": tmp_path, "cover": cover, "carrier": carrier[0], "narrow": narrow,
+             "junk": tmp_path / "junk.bmp", "data": tmp_path / "payload.bin",
+             "big": tmp_path / "big.bin", "out": tmp_path / "never.out"}
+    code, out, err = run_cli([arg.format(**paths) for arg in argv])
+    assert (code, out, err.replace(str(tmp_path), "{tmp}")) == (expected_code, "", expected_err)
+    assert not (tmp_path / "never.out").exists()
+
+
 def test_embed_reports_the_numbers(tmp_path, cover):
     data = tmp_path / "p.bin"
     data.write_bytes(b"covert")
@@ -346,7 +426,8 @@ def test_unwritable_output_names_the_path_given(tmp_path, cover, monkeypatch):
 
 
 @pytest.mark.parametrize("subcommand", ["embed", "extract", "edges"])
-def test_failed_write_exits_two_and_leaves_no_file(tmp_path, cover, carrier, subcommand):
+def test_failed_write_exits_two_and_leaves_no_file(tmp_path, cover, carrier, subcommand,
+                                                   monkeypatch):
     # --out names a directory: the final rename fails after the bytes were
     # written, and the half-done output must not stay behind
     data = tmp_path / "p.bin"
@@ -364,6 +445,11 @@ def test_failed_write_exits_two_and_leaves_no_file(tmp_path, cover, carrier, sub
     assert code == 2
     assert out == ""
     assert "remedy:" in err
+    assert f"'{target}'" in err and ".tmp" not in err
+    monkeypatch.chdir(target)  # --out . names the working directory, not its parent
+    code, out, err = run_cli([*argv, "--out", "."])
+    assert (code, out) == (2, "")
+    assert "'.'" in err and ".tmp" not in err
     assert sorted(tmp_path.iterdir()) == before
     assert list(target.iterdir()) == []
 
@@ -394,6 +480,21 @@ def test_a_write_cut_short_keeps_the_previous_output(tmp_path, cover):
     assert done.stdout == ""
     assert out_path.read_bytes() == b"previous carrier"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["c.bmp", "cover.bmp", "p.bin"]
+
+
+def test_commands_without_a_detector_never_import_scipy(cover, carrier):
+    # scipy's import is most of a cold start; only the hysteresis labelling needs it
+    script = (
+        "import sys\n"
+        "from edgestego.cli import main\n"
+        "assert main(['inspect', '--in', sys.argv[1]]) == 0\n"
+        "assert main(['metrics', '--a', sys.argv[1], '--b', sys.argv[2]]) == 0\n"
+        "assert 'scipy' not in sys.modules, 'scipy was imported'\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(edgestego.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", script, str(carrier[0]), str(cover)], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
 
 
 def test_non_bmp_input_exits_three(tmp_path):
