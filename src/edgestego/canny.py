@@ -85,11 +85,11 @@ def to_masked_gray(image: RgbImage) -> GrayImage:
     integers as (299r + 587g + 114b + 500) // 1000 of the masked channels.
     """
     gray = np.empty((image.height, image.width), dtype=np.uint8)
-    acc = np.empty((_BLOCK_ROWS, image.width), dtype=np.uint32)
     for y0, y1 in _row_blocks(image.height):
-        block, luma = image.pixels[y0:y1] & 0xF8, acc[: y1 - y0]
-        # one channel at a time, so the only uint32 temporaries are 2-D
-        np.multiply(block[..., 0], 299, out=luma, dtype=np.uint32)
+        block = image.pixels[y0:y1] & 0xF8
+        # one channel at a time, so the only temporaries are 2-D; the products are
+        # uint32 only under numpy 2's NEP 50 (numpy 1 picks uint16/uint8 and wraps)
+        luma = block[..., 0] * np.uint32(299)
         luma += block[..., 1] * np.uint32(587)
         luma += block[..., 2] * np.uint32(114)
         luma += 500
@@ -206,7 +206,7 @@ def gradients(smoothed: GrayImage) -> tuple[np.ndarray, np.ndarray]:
 
 
 def non_max_suppression(magnitude: np.ndarray, direction: np.ndarray) -> np.ndarray:
-    """Zero every pixel that is not >= both neighbors along its direction bin.
+    """Zero every pixel that is below the larger neighbor along its direction bin.
 
     Out-of-bounds neighbors count as magnitude 0, so border pixels can survive.
     """
@@ -219,8 +219,8 @@ def non_max_suppression(magnitude: np.ndarray, direction: np.ndarray) -> np.ndar
         # each bin's two neighbors as (row, column) offsets into the padded copy
         for angle, (r0, c0), (r1, c1) in ((0, (1, 0), (1, 2)), (45, (0, 2), (2, 0)),
                                           (90, (0, 1), (2, 1)), (135, (0, 0), (2, 2))):
-            keep |= ((d == angle) & (m >= p[y0 + r0 : y1 + r0, c0 : c0 + width])
-                     & (m >= p[y0 + r1 : y1 + r1, c1 : c1 + width]))
+            keep |= (d == angle) & (m >= np.maximum(p[y0 + r0 : y1 + r0, c0 : c0 + width],
+                                                    p[y0 + r1 : y1 + r1, c1 : c1 + width]))
         np.multiply(m, keep, out=out[y0:y1])
     return out
 

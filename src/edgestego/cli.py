@@ -46,10 +46,10 @@ def _sigma_tenths(text: str) -> int:
 
 
 def _coord_count(text: str) -> int:
-    count = int(text)
-    if count < 0:
-        raise argparse.ArgumentTypeError(f"--coords must be 0 or more, got {count}")
-    return count
+    with contextlib.suppress(ValueError):
+        if int(text) >= 0:
+            return int(text)
+    raise argparse.ArgumentTypeError(f"--coords must be a whole number 0 or more, got '{text}'")
 
 
 def _add_param_flags(parser: argparse.ArgumentParser):
@@ -114,16 +114,16 @@ def _cmd_embed(args) -> list[str]:
 
 
 def _cmd_extract(args) -> list[str]:
-    # range-check each expectation on its own; the unset ones get in-range stand-ins
+    # one stand-in checks every rule, so contradictory expectations are a usage error
     sigma, low, high = args.expect_sigma, args.expect_low, args.expect_high
-    CannyParams(10 if sigma is None else sigma, 0 if low is None else low, 255)
-    CannyParams(10, 0, 255 if high is None else high)
+    CannyParams(10 if sigma is None else sigma, 0 if low is None else low,
+                255 if high is None else high)
     carrier = _load_image(args.in_path)
     header = read_header(carrier)
-    for flag, expected, actual in (
-        ("--expect-sigma", args.expect_sigma, header.params.sigma_tenths),
-        ("--expect-low", args.expect_low, header.params.low_threshold),
-        ("--expect-high", args.expect_high, header.params.high_threshold),
+    for flag, expected, actual in (  # sigma in units, not tenths: 15 / 10 prints as 1.5
+        ("--expect-sigma", None if sigma is None else sigma / 10, header.params.sigma),
+        ("--expect-low", low, header.params.low_threshold),
+        ("--expect-high", high, header.params.high_threshold),
     ):
         if expected is not None and expected != actual:
             raise CorruptHeader(

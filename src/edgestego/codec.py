@@ -129,9 +129,7 @@ def embed_at(image: RgbImage, payload: bytes, params: CannyParams,
     ``carriers`` must be ``carrier_arrays(detect_edges(image, params))``.
     """
     check_geometry(image)
-    if len(payload) > MAX_PAYLOAD_BYTES:
-        raise CapacityExceeded(required=len(payload), available=MAX_PAYLOAD_BYTES)
-    capacity = capacity_of(carriers.size)
+    capacity = min(capacity_of(carriers.size), MAX_PAYLOAD_BYTES)  # the header's 32-bit length
     if len(payload) > capacity:
         raise CapacityExceeded(required=len(payload), available=capacity)
 

@@ -19,7 +19,7 @@ class MalformedFile(StegoError):
 
 
 class UnsupportedFormat(StegoError):
-    """The BMP is valid but not 24-bit BI_RGB without palette or alpha."""
+    """Not 24-bit BI_RGB without palette or alpha, as a BMP file or as in-memory pixels."""
 
     remedy = "re-save the image as an uncompressed 24-bit BMP without palette or alpha"
 

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ZeroDimension
+from .errors import UnsupportedFormat, ZeroDimension
 
 
 class _Grid:
@@ -21,11 +21,11 @@ class _Grid:
 
     def __init__(self, array: np.ndarray):
         array = np.asarray(array)
-        if array.ndim != len(self._shape) or array.shape[2:] != self._shape[2:]:
+        wanted = (len(self._shape), self._shape[2:], np.dtype(self._dtype))
+        if (array.ndim, array.shape[2:], array.dtype) != wanted:
             shape = ", ".join(map(str, self._shape))
-            raise ValueError(f"expected ({shape}) {self._field}, got {array.shape}")
-        if array.dtype != self._dtype:
-            raise ValueError(f"expected {np.dtype(self._dtype)} {self._field}, got {array.dtype}")
+            raise UnsupportedFormat(f"expected ({shape}) {wanted[2]} {self._field},"
+                                    f" got {array.shape} {array.dtype}")
         if array.shape[0] == 0 or array.shape[1] == 0:
             raise ZeroDimension(f"{self._noun} must be at least 1x1")
         setattr(self, self._field, array)

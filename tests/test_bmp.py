@@ -171,6 +171,18 @@ def test_rejects_zero_dimensions():
         read_bmp(patched(data, _OFF_HEIGHT, "<i", 0))
 
 
+@pytest.mark.parametrize("array,error", [
+    (np.zeros((4, 4), dtype=np.uint8), UnsupportedFormat),  # 2-D
+    (np.zeros((4, 4, 4), dtype=np.uint8), UnsupportedFormat),  # 4 channels
+    (np.zeros((4, 4, 3)), UnsupportedFormat),  # float64
+    (np.zeros((4, 4, 3), dtype=np.int16), UnsupportedFormat),
+    (np.zeros((0, 4, 3), dtype=np.uint8), ZeroDimension),
+], ids=["2-d", "4-channels", "float64", "int16", "zero-size"])
+def test_in_memory_pixels_raise_typed_errors(array, error):
+    with pytest.raises(error):
+        RgbImage(array)
+
+
 def test_rejects_negative_width():
     data = make_bmp(np.zeros((1, 1, 3), dtype=np.uint8))
     with pytest.raises(MalformedFile):

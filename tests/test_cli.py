@@ -117,6 +117,22 @@ _ERROR_CASES = {  # id: (argv, exit code, stderr with tmp_path written as {tmp})
     "expect-low-range": (
         ["extract", "--in", "{carrier}", "--out", "{out}", "--expect-low", "300"], 1,
         "error: ParamOutOfRange: low threshold must be 0..255, got 300\n" + _PARAM_REMEDY),
+    "expect-low-above-high": (
+        ["extract", "--in", "{carrier}", "--out", "{out}", "--expect-low", "50",
+         "--expect-high", "40"], 1,
+        "error: ParamOutOfRange: low threshold 50 exceeds high 40\n" + _PARAM_REMEDY),
+    "coords-not-a-number": (
+        ["capacity", "--in", "{cover}", *_PARAMS, "--coords", "x"], 1,
+        "usage: edgestego capacity [-h] --in BMP --sigma S --low T --high T\n"
+        "                          [--coords N]\n"
+        "edgestego capacity: error: argument --coords: --coords must be a whole number 0 or"
+        " more, got 'x'\n"),
+    "coords-negative": (
+        ["capacity", "--in", "{cover}", *_PARAMS, "--coords", "-2"], 1,
+        "usage: edgestego capacity [-h] --in BMP --sigma S --low T --high T\n"
+        "                          [--coords N]\n"
+        "edgestego capacity: error: argument --coords: --coords must be a whole number 0 or"
+        " more, got '-2'\n"),
     "low-above-high": (
         ["capacity", "--in", "{cover}", "--sigma", "1.5", "--low", "50", "--high", "40"], 1,
         "error: ParamOutOfRange: low threshold 50 exceeds high 40\n" + _PARAM_REMEDY),
@@ -142,7 +158,7 @@ _ERROR_CASES = {  # id: (argv, exit code, stderr with tmp_path written as {tmp})
         "remedy: this image carries no embedded header; check you have the right file\n"),
     "expect-sigma-mismatch": (
         ["extract", "--in", "{carrier}", "--out", "{out}", "--expect-sigma", "2.0"], 5,
-        "error: CorruptHeader: --expect-sigma mismatch: carrier header says 15, expected 20\n"
+        "error: CorruptHeader: --expect-sigma mismatch: carrier header says 1.5, expected 2.0\n"
         "remedy: the header bits are damaged; the carrier was modified in transit\n"),
     "metrics-size": (
         ["metrics", "--a", "{cover}", "--b", "{narrow}"], 3,

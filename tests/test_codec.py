@@ -21,6 +21,7 @@ from edgestego import (
     extract,
     read_header,
 )
+from edgestego import codec
 from edgestego.codec import StegoHeader, _from_fields, _to_fields
 from helpers import random_image, write_row0_bits
 
@@ -165,6 +166,19 @@ def test_capacity_boundary():
         embed(image, bytes(cap + 1), PARAMS)
     assert excinfo.value.required == cap + 1
     assert excinfo.value.available == cap
+
+
+def test_payload_limit_reports_what_the_image_holds(monkeypatch):
+    # with the 32-bit length limit lowered below the payload, an image that
+    # holds less than the limit still reports its own capacity, and one that
+    # holds more reports the limit
+    image = RgbImage(np.random.default_rng(31).integers(0, 256, (36, 40, 3), dtype=np.uint8))
+    for limit, payload, available in ((1000, 2000, 545), (10, 20, 10)):
+        monkeypatch.setattr(codec, "MAX_PAYLOAD_BYTES", limit)
+        with pytest.raises(CapacityExceeded) as excinfo:
+            embed(image, bytes(payload), PARAMS)
+        assert excinfo.value.available == available
+    assert capacity_bytes(detect_edges(image, PARAMS)) == 545
 
 
 def test_carrier_reproduces_cover_edge_map():
