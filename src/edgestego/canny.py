@@ -1,22 +1,22 @@
 """Deterministic five-stage Canny edge detector over a masked grayscale projection.
 
 The detector is the shared secret between the two communicating parties, so
-every stage is pinned down exactly. Floating point appears only in the
-Gaussian taps, the smoothing sums (taps added in a fixed order) and one
-correctly rounded IEEE square root per pixel; the gray projection is integer
-arithmetic, directions are binned by integer tests and every stage rounds
-back to integers. The gray projection zeroes the three LSBs of every
-channel first, so the whole pipeline is invariant under any payload written
-into those bits. Every stage works on blocks of ``_BLOCK_ROWS`` rows, gathers
-included, so its temporaries stay in cache; no value depends on blocking.
-Only the hysteresis labelling spans the image, and it labels just the weak
-pixels, in a copy of the rows that hold them: strong pixels are edges
-whatever their neighbours, so they need no label.
+every stage is pinned down exactly. The Gaussian taps are a table of
+float64 literals, so no machine's ``exp`` computes them; floating point
+appears only in the smoothing sums (taps added in a fixed order) and one
+correctly rounded IEEE square root per pixel, and IEEE fixes both. The gray
+projection is integer arithmetic, directions are binned by integer tests
+and every stage rounds back to integers. The gray projection zeroes the
+three LSBs of every channel first, so the whole pipeline is invariant under
+any payload written into those bits. Every stage works on blocks of
+``_BLOCK_ROWS`` rows, gathers included, so its temporaries stay in cache; no
+value depends on blocking. Only the hysteresis labelling spans the image,
+and it labels just the weak pixels, in a copy of the rows that hold them:
+strong pixels are edges whatever their neighbours, so they need no label.
 """
 
 from __future__ import annotations
 
-import math
 import operator
 from dataclasses import dataclass
 
@@ -25,8 +25,6 @@ import numpy as np
 from .errors import ImageTooSmall, ParamOutOfRange
 from .image import EdgeMap, GrayImage, RgbImage
 
-SIGMA_TENTHS_MIN = 10
-SIGMA_TENTHS_MAX = 30
 # A float64 block 2048 pixels wide is 512 KiB: it and its temporaries fit in L2.
 _BLOCK_ROWS = 32
 
@@ -36,7 +34,8 @@ class CannyParams:
     """The three shared detector parameters.
 
     ``sigma_tenths`` stores the Gaussian standard deviation in tenths
-    (10..30, i.e. 1.0..3.0) so it survives an 8-bit header field losslessly.
+    (10..30, i.e. 1.0..3.0) so it survives an 8-bit header field losslessly;
+    a value is in range when the tap table has a row for it.
     """
 
     sigma_tenths: int
@@ -49,7 +48,7 @@ class CannyParams:
                 operator.index(value)  # Python and numpy integers pass; floats and text do not
             except TypeError:
                 raise ParamOutOfRange(f"{name} must be an integer, got {value!r}") from None
-        if not SIGMA_TENTHS_MIN <= self.sigma_tenths <= SIGMA_TENTHS_MAX:
+        if self.sigma_tenths not in _KERNELS:
             # in tenths, not sigma: a CLI value too large for a float still formats
             raise ParamOutOfRange(f"sigma must be 1.0..3.0, got {self.sigma_tenths} tenths")
         for name, value in (("low", self.low_threshold), ("high", self.high_threshold)):
@@ -59,10 +58,6 @@ class CannyParams:
             raise ParamOutOfRange(
                 f"low threshold {self.low_threshold} exceeds high {self.high_threshold}"
             )
-
-    @property
-    def sigma(self) -> float:
-        return self.sigma_tenths / 10.0
 
 
 def check_min_size(image: RgbImage):
@@ -97,13 +92,61 @@ def to_masked_gray(image: RgbImage) -> GrayImage:
     return GrayImage(gray)
 
 
-def gaussian_kernel(params: CannyParams) -> np.ndarray:
-    """Normalized 1-D Gaussian taps for ``params.sigma``, radius ceil(3*sigma)."""
-    sigma = params.sigma
-    radius = math.ceil(3.0 * sigma)
-    offsets = np.arange(-radius, radius + 1, dtype=np.float64)
-    kernel = np.exp(-(offsets * offsets) / (2.0 * sigma * sigma))
-    return kernel / kernel.sum()
+# Gaussian taps for sigma = tenths / 10, one row per tenths 10..30, centre tap
+# to edge: exp(-i*i / (2 sigma**2)) for i = 0..ceil(3 sigma), divided by the sum
+# over -i..i. Frozen float64 literals, each within 2 ulp of the exact value, so
+# no machine's exp can move a tap and the same input smooths to the same bits.
+_HALF_TAPS = (
+    (0.3990502796524549, 0.2420362293761143, 0.054005582622414484, 0.004433048175243745),
+    (0.36268347332772005, 0.2399204329681059, 0.0694521424534871, 0.008797980575629662,
+     0.00048770733891729563),
+    (0.33249028418018045, 0.2349536867203472, 0.08290718675731891, 0.014608603546452456,
+     0.0012853808857911967),
+    (0.30699881906938903, 0.22837429159016912, 0.0940110142461853, 0.02141565094755336,
+     0.002699633681397729),
+    (0.2849760705485449, 0.22081012579708598, 0.10271899443251963, 0.02868822748372571,
+     0.004810363056036814, 0.0004842539563594202),
+    (0.26601172486179436, 0.2130055377112537, 0.10936068950970002, 0.03600077212843083,
+     0.007598758135239185, 0.00102838008447911),
+    (0.24945803257588858, 0.2051985803570411, 0.11421020967515194, 0.04301195907007541,
+     0.010960421019112626, 0.0018898135906746211),
+    (0.23469665680137547, 0.1974101368631048, 0.11747814728124147, 0.04946178902503965,
+     0.014733558280827428, 0.0031050640482329244, 0.00046297610086593646),
+    (0.22169113178718836, 0.18998861080038915, 0.11958186077401543, 0.05527917337747408,
+     0.018767925312555583, 0.004679823630853062, 0.0008570402111186117),
+    (0.21008294019197235, 0.18291073572523153, 0.12072144515752953, 0.0603985446781076,
+     0.02290684843262855, 0.006585686144855383, 0.0014352697656612508),
+    (0.19967562749792112, 0.17621312278855084, 0.12110939007484814, 0.06482518513852684,
+     0.027023157602879527, 0.008773134791588384, 0.0022181958546457657),
+    (0.19003183268508828, 0.1696627959160294, 0.12074451406732604, 0.06849655385453118,
+     0.030973519868465443, 0.011164336741679041, 0.0032077153203065177, 0.0007346478891182097),
+    (0.1814435879703514, 0.16363511003981868, 0.12002759261599401, 0.07160699245591823,
+     0.03474557526254261, 0.01371239498475957, 0.004401460998178034, 0.0011490796576132387),
+    (0.1736292736973705, 0.1579698918389516, 0.11896752796737847, 0.07416266004326454,
+     0.0382688052777785, 0.016345840396847527, 0.005779261535303077, 0.0016913760917909968),
+    (0.16628594893831125, 0.15246016286707337, 0.11750567944919378, 0.07613125501781004,
+     0.04146376865639661, 0.018983496595678547, 0.007306094701007896, 0.002363720044772222,
+     0.0006428481989119644),
+    (0.15967594196360177, 0.14739947215128454, 0.11594853150070399, 0.07772262497331667,
+     0.04439586785088073, 0.021609788831716978, 0.008963371132443686, 0.003168145492896394,
+     0.0009542270849561244),
+    (0.15359356446603717, 0.14264305983654388, 0.1142571869952764, 0.07893537253238435,
+     0.04703433980922035, 0.02417206181497608, 0.010714393541858302, 0.004096158432499744,
+     0.001350644804222284),
+    (0.14781586425264032, 0.13801746471764745, 0.11234999073909038, 0.07973298686669211,
+     0.04933203408885688, 0.026610069534831908, 0.012513793754129459, 0.005130479697603441,
+     0.001833804148280367, 0.0005714443265478613),
+    (0.1425717110932294, 0.1337630028560267, 0.11046989805496328, 0.08030770082450363,
+     0.05138965798016195, 0.028946733169567734, 0.014352537294494845, 0.006264163806878836,
+     0.002406593966148455, 0.0008138565006398492),
+    (0.13770324597111422, 0.12975498562030818, 0.10855846218104424, 0.0806423293173764,
+     0.053189045556742406, 0.031148783005184314, 0.016196445789615082, 0.007477529114320243,
+     0.0030651819258588776, 0.0011156145039930713),
+    (0.13317599601553648, 0.12597909446198638, 0.10663900118033985, 0.08077532472119038,
+     0.05475028876252327, 0.03320772876259042, 0.018023411141080633, 0.008753462265142137,
+     0.003804239018665085, 0.001479451678713566),
+)
+_KERNELS = {tenths: np.array(h[:0:-1] + h) for tenths, h in enumerate(_HALF_TAPS, 10)}
 
 
 def _correlate(window, kernel: np.ndarray, out: np.ndarray, tmp: np.ndarray):
@@ -123,7 +166,7 @@ def smooth(gray: GrayImage, params: CannyParams) -> GrayImage:
     horizontal sums a block's vertical pass reads; the last 2*radius of them
     carry over to the next block.
     """
-    kernel = gaussian_kernel(params)
+    kernel = _KERNELS[params.sigma_tenths]
     span, width = len(kernel) - 1, gray.width
     padded = np.pad(gray.values, span // 2, mode="edge")
     source = np.empty((_BLOCK_ROWS + span, width + span))

@@ -90,8 +90,13 @@ def _write_file(path: str, data: bytes):
         raise OSError(exc.errno, exc.strerror, path) from exc  # same subclass, by errno
 
 
+def _sigma_text(tenths: int) -> str:
+    return f"{tenths // 10}.{tenths % 10}"  # 15 prints as 1.5, exactly, with no float
+
+
 def _header_lines(params: CannyParams, payload_len: int) -> list[str]:
-    return [f"sigma: {params.sigma:.1f}", f"low threshold: {params.low_threshold}",
+    return [f"sigma: {_sigma_text(params.sigma_tenths)}",
+            f"low threshold: {params.low_threshold}",
             f"high threshold: {params.high_threshold}", f"payload bytes: {payload_len}"]
 
 
@@ -120,8 +125,9 @@ def _cmd_extract(args) -> list[str]:
                 255 if high is None else high)
     carrier = _load_image(args.in_path)
     header = read_header(carrier)
-    for flag, expected, actual in (  # sigma in units, not tenths: 15 / 10 prints as 1.5
-        ("--expect-sigma", None if sigma is None else sigma / 10, header.params.sigma),
+    for flag, expected, actual in (
+        ("--expect-sigma", None if sigma is None else _sigma_text(sigma),
+         _sigma_text(header.params.sigma_tenths)),
         ("--expect-low", low, header.params.low_threshold),
         ("--expect-high", high, header.params.high_threshold),
     ):

@@ -67,8 +67,8 @@ def smooth_separable_reference(values, kernel):
     kernel order starting from 0.0, then round half up and clip to 0..255.
     Any implementation that computes the same sums in the same order gives
     the same bytes; a reordered sum can differ by one gray level. The taps
-    come from the caller (the package's ``gaussian_kernel``), so this checks
-    the summation, not the kernel.
+    come from the caller (a row of the package's frozen tap table), so this
+    checks the summation, not the kernel.
     """
     acc = _correlate1d_clamped(values.astype(np.float64), kernel, axis=1)
     acc = _correlate1d_clamped(acc, kernel, axis=0)

@@ -15,8 +15,8 @@ from hypothesis import strategies as st
 from edgestego import CannyParams, ImageTooSmall, ParamOutOfRange, RgbImage, detect_edges
 from edgestego.canny import (
     _BLOCK_ROWS as _BLOCK,
+    _KERNELS,
     _direction_bins,
-    gaussian_kernel,
     gradients,
     hysteresis,
     non_max_suppression,
@@ -43,10 +43,6 @@ def test_params_validation():
                 (15, 5.5, 40), (15.0, 5, 40), ("15", 5, 40), (15, 5, None)]:
         with pytest.raises(ParamOutOfRange):
             CannyParams(*bad)
-
-
-def test_params_sigma_round_trip():
-    assert CannyParams(23, 5, 40).sigma == 2.3
 
 
 # ------------------------------------------------------- masked gray project
@@ -100,20 +96,27 @@ def test_masked_gray_ignores_payload_bits(r, g, b, lr, lg, lb):
 
 @pytest.mark.parametrize("tenths,taps", [(10, 7), (15, 11), (20, 13), (21, 15), (30, 19)])
 def test_kernel_length(tenths, taps):
-    assert len(gaussian_kernel(CannyParams(tenths, 0, 255))) == taps
+    assert len(_KERNELS[tenths]) == taps
 
 
 def test_kernel_shape():
-    for tenths in (10, 13, 20, 30):
-        kernel = gaussian_kernel(CannyParams(tenths, 0, 255))
+    # one row per sigma the header can carry, and each row is the Gaussian:
+    # every frozen tap within 2 ulp of the taps built with scalar math.exp
+    assert sorted(_KERNELS) == list(range(10, 31))
+    for tenths, kernel in _KERNELS.items():
+        assert kernel.dtype == np.float64
         assert np.array_equal(kernel, kernel[::-1])  # exactly symmetric
         assert abs(kernel.sum() - 1.0) < 1e-12
         assert kernel.argmax() == len(kernel) // 2
+        reference = oracles.gaussian_taps(tenths / 10)
+        assert len(kernel) == len(reference)
+        for tap, exact in zip(kernel.tolist(), reference):
+            assert abs(tap - exact) <= 2 * math.ulp(exact), (tenths, tap, exact)
 
 
 def test_kernel_center_to_edge_ratio():
     # for sigma=1 the end taps sit at distance 3: ratio exp(9/2)
-    kernel = gaussian_kernel(CannyParams(10, 0, 255))
+    kernel = _KERNELS[10]
     assert math.isclose(kernel[3] / kernel[0], math.exp(4.5), rel_tol=1e-12)
 
 
@@ -146,7 +149,7 @@ def test_smooth_is_exactly_the_separable_sum(tenths):
     # separable sum byte for byte, also across the row blocks it works in:
     # heights below the radius, around one block and past two blocks.
     rng = np.random.default_rng(tenths)
-    kernel = gaussian_kernel(CannyParams(tenths, 0, 255))
+    kernel = _KERNELS[tenths]
     for height in (1, 2, 8, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3):
         for width in (1, 5, 300):
             values = rng.integers(0, 256, (height, width), dtype=np.uint8)

@@ -160,6 +160,10 @@ _ERROR_CASES = {  # id: (argv, exit code, stderr with tmp_path written as {tmp})
         ["extract", "--in", "{carrier}", "--out", "{out}", "--expect-sigma", "2.0"], 5,
         "error: CorruptHeader: --expect-sigma mismatch: carrier header says 1.5, expected 2.0\n"
         "remedy: the header bits are damaged; the carrier was modified in transit\n"),
+    "expect-sigma-mismatch-2.3": (  # 2.3 has no exact binary fraction; tenths print exactly
+        ["extract", "--in", "{carrier}", "--out", "{out}", "--expect-sigma", "2.3"], 5,
+        "error: CorruptHeader: --expect-sigma mismatch: carrier header says 1.5, expected 2.3\n"
+        "remedy: the header bits are damaged; the carrier was modified in transit\n"),
     "metrics-size": (
         ["metrics", "--a", "{cover}", "--b", "{narrow}"], 3,
         "error: DimensionMismatch: 40x36 vs 10x36\n"
@@ -191,6 +195,12 @@ def test_error_paths_are_pinned_byte_for_byte(tmp_path, cover, carrier, monkeypa
     code, out, err = run_cli([arg.format(**paths) for arg in argv])
     assert (code, out, err.replace(str(tmp_path), "{tmp}")) == (expected_code, "", expected_err)
     assert not (tmp_path / "never.out").exists()
+
+
+def test_header_lines_print_sigma_from_tenths():
+    for tenths in range(10, 31):
+        line = edgestego.cli._header_lines(CannyParams(tenths, 0, 255), 0)[0]
+        assert line == f"sigma: {tenths / 10:.1f}"
 
 
 def test_embed_reports_the_numbers(tmp_path, cover):

@@ -7,17 +7,22 @@ the digest of its packed edge map and of ``write_bmp(embed(...))`` for a
 fixed payload; two taller covers whose heights are not a multiple of the
 detector's row block; the digests of the Gaussian taps for every sigma; and
 a committed carrier file that must keep extracting to its payload. A
-refactor must leave every digest unchanged.
+refactor must leave every digest unchanged. The last test runs all of this
+again with numpy's SIMD kernels switched off, as a stand-in for a receiver
+on another CPU.
 """
 
 import hashlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from edgestego import CannyParams, RgbImage, detect_edges, embed, extract, read_bmp, write_bmp
-from edgestego.canny import SIGMA_TENTHS_MAX, SIGMA_TENTHS_MIN, gaussian_kernel
+from edgestego.canny import _KERNELS
 from test_acceptance import PARAM_SETS
 
 PAYLOAD = bytes(range(200))  # fits every cover/params pair below
@@ -126,10 +131,9 @@ def test_known_answer_across_row_blocks(width, height, tenths):
     assert _sha256(write_bmp(embed(cover, PAYLOAD, params))) == bmp_digest
 
 
-# sigma in tenths -> SHA-256 of the little-endian float64 bytes of
-# gaussian_kernel at that sigma. The taps are part of the shared secret: an ulp of
-# drift in np.exp on another machine would move edge maps, so it has to
-# fail here first.
+# sigma in tenths -> SHA-256 of the little-endian float64 bytes of the
+# detector's full kernel at that sigma. The taps are part of the shared secret:
+# an ulp of drift in a tap would move edge maps, so it has to fail here first.
 TAP_DIGESTS = {
     10: "b5a0b72f3f5d0d42cdfd74c101e352825d68564183e453b880e1e631047e2922",
     11: "de28725d9f1715f720e8a1925d49eaa41d7a0508d930d90e4715042ebb813ef0",
@@ -156,10 +160,8 @@ TAP_DIGESTS = {
 
 
 def test_gaussian_taps_are_frozen():
-    digests = {
-        tenths: _sha256(gaussian_kernel(CannyParams(tenths, 0, 255)).astype("<f8").tobytes())
-        for tenths in range(SIGMA_TENTHS_MIN, SIGMA_TENTHS_MAX + 1)
-    }
+    digests = {tenths: _sha256(kernel.astype("<f8").tobytes())
+               for tenths, kernel in _KERNELS.items()}
     assert digests == TAP_DIGESTS
 
 
@@ -172,3 +174,17 @@ def test_committed_carrier_extracts_its_payload():
     payload, params = extract(read_bmp(CARRIER_FILE.read_bytes()))
     assert payload == CARRIER_PAYLOAD
     assert params == CannyParams(15, 5, 40)
+
+
+def test_known_answers_hold_without_numpy_simd_kernels():
+    # numpy picks its SIMD kernels by CPU at import; switch off every target this
+    # build dispatches to, and the rest of this module must still pass unchanged
+    from numpy._core._multiarray_umath import __cpu_dispatch__
+
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(__cpu_dispatch__))
+    child = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", __file__,
+         "-k", "not test_known_answers_hold_without_numpy_simd_kernels"],
+        cwd=Path(__file__).parents[1], env=env, capture_output=True, text=True,
+    )
+    assert child.returncode == 0, child.stdout + child.stderr
