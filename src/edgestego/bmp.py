@@ -97,10 +97,17 @@ def write_bmp(image: RgbImage) -> bytes:
     image_size = stride * height
     pixel_offset = FILE_HEADER_SIZE + INFO_HEADER_SIZE
 
-    header = struct.pack(
-        "<2sIHHI", b"BM", pixel_offset + image_size, 0, 0, pixel_offset
-    ) + struct.pack(
-        "<IiiHHIIiiII",
+    # the header and the padded rows go into one buffer, copied out once
+    data = np.zeros(pixel_offset + image_size, dtype=np.uint8)
+    struct.pack_into(
+        "<2sIHHIIiiHHIIiiII",
+        data,
+        0,
+        b"BM",
+        pixel_offset + image_size,
+        0,
+        0,
+        pixel_offset,
         INFO_HEADER_SIZE,
         width,
         height,  # positive: bottom-up
@@ -113,7 +120,7 @@ def write_bmp(image: RgbImage) -> bytes:
         0,
         0,
     )
-
-    rows = np.zeros((height, stride), dtype=np.uint8)
-    rows[:, : 3 * width] = image.pixels[::-1, :, ::-1].reshape(height, 3 * width)
-    return header + rows.tobytes()
+    rows = data[pixel_offset:].reshape(height, stride)[:, : 3 * width]
+    # splitting the contiguous last axis is a view, so this writes into ``data``
+    rows.reshape(height, width, 3)[...] = image.pixels[::-1, :, ::-1]  # file stores BGR
+    return data.tobytes()

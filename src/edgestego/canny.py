@@ -10,14 +10,22 @@ and every stage rounds back to integers. The gray projection zeroes the
 three LSBs of every channel first, so the whole pipeline is invariant under
 any payload written into those bits. Every stage works on blocks of
 ``_BLOCK_ROWS`` rows, gathers included, so its temporaries stay in cache; no
-value depends on blocking. Only the hysteresis labelling spans the image,
-and it labels just the weak pixels, in a copy of the rows that hold them:
-strong pixels are edges whatever their neighbours, so they need no label.
+value depends on blocking. On images of two bands' worth of pixels or more
+(``_BAND_MIN_PIXELS`` each, so 2048 x 2048 and up), the masked gray, the
+smoothing and the Sobel pass split the rows into one band of whole blocks per
+CPU and run the bands on threads that live for the call only. Each pixel is
+still the same expression of the same inputs, so banding cannot change a bit.
+The gradient rescale waits for the global peak and non-maximum suppression
+measured slower in bands, so both stay on one thread. Only the hysteresis
+labelling spans the image, and it labels just the weak pixels, in a copy of
+the rows that hold them: strong pixels are edges whatever their neighbours,
+so they need no label.
 """
 
 from __future__ import annotations
 
 import operator
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +35,11 @@ from .image import EdgeMap, GrayImage, RgbImage
 
 # A float64 block 2048 pixels wide is 512 KiB: it and its temporaries fit in L2.
 _BLOCK_ROWS = 32
+# Pixels per band of a parallel stage. Below two bands' worth a stage runs on
+# one thread: there the hand-offs of the interpreter lock between short numpy
+# calls cost more than a second core saves (slower at 512 x 512, no faster at
+# 1024 x 1024).
+_BAND_MIN_PIXELS = 2**21
 
 
 @dataclass(frozen=True)
@@ -66,9 +79,42 @@ def check_min_size(image: RgbImage):
         raise ImageTooSmall(f"need at least 3x3 pixels, got {image.width}x{image.height}")
 
 
-def _row_blocks(height: int):
-    for y0 in range(0, height, _BLOCK_ROWS):
-        yield y0, min(y0 + _BLOCK_ROWS, height)
+def _row_blocks(start: int, end: int):
+    for y0 in range(start, end, _BLOCK_ROWS):
+        yield y0, min(y0 + _BLOCK_ROWS, end)
+
+
+def _cpu_count() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _in_bands(height: int, width: int, work):
+    """Call ``work(y0, y1)`` on row bands that cover rows 0..height once each.
+
+    There is one band per ``_BAND_MIN_PIXELS`` pixels, at most one per CPU,
+    each of whole row blocks (so a band may be empty, and the last may end
+    part-way into a block). Band 0 runs on the calling thread and the others on
+    threads that live for this call only; numpy releases the interpreter lock
+    inside its loops, so the bands overlap. Every band is joined before this
+    returns, and an exception in any band is raised here. With fewer than two
+    bands this is just ``work(0, height)``.
+    """
+    bands = min(_cpu_count(), height * width // _BAND_MIN_PIXELS)
+    if bands < 2:
+        work(0, height)
+        return
+    from concurrent.futures import ThreadPoolExecutor  # here, so one band skips its ~6 ms import
+
+    blocks = -(-height // _BLOCK_ROWS)
+    cuts = [min(blocks * i // bands * _BLOCK_ROWS, height) for i in range(bands + 1)]
+    with ThreadPoolExecutor(bands - 1) as pool:
+        others = [pool.submit(work, y0, y1) for y0, y1 in zip(cuts[1:-1], cuts[2:])]
+        work(cuts[0], cuts[1])
+        for band in others:
+            band.result()
 
 
 def to_masked_gray(image: RgbImage) -> GrayImage:
@@ -80,15 +126,19 @@ def to_masked_gray(image: RgbImage) -> GrayImage:
     integers as (299r + 587g + 114b + 500) // 1000 of the masked channels.
     """
     gray = np.empty((image.height, image.width), dtype=np.uint8)
-    for y0, y1 in _row_blocks(image.height):
-        block = image.pixels[y0:y1] & 0xF8
-        # one channel at a time, so the only temporaries are 2-D; the products are
-        # uint32 only under numpy 2's NEP 50 (numpy 1 picks uint16/uint8 and wraps)
-        luma = block[..., 0] * np.uint32(299)
-        luma += block[..., 1] * np.uint32(587)
-        luma += block[..., 2] * np.uint32(114)
-        luma += 500
-        np.floor_divide(luma, 1000, out=gray[y0:y1], casting="unsafe")  # at most 248
+
+    def band(b0: int, b1: int):
+        for y0, y1 in _row_blocks(b0, b1):
+            block = image.pixels[y0:y1] & 0xF8
+            # one channel at a time, so the only temporaries are 2-D; the products are
+            # uint32 only under numpy 2's NEP 50 (numpy 1 picks uint16/uint8 and wraps)
+            luma = block[..., 0] * np.uint32(299)
+            luma += block[..., 1] * np.uint32(587)
+            luma += block[..., 2] * np.uint32(114)
+            luma += 500
+            np.floor_divide(luma, 1000, out=gray[y0:y1], casting="unsafe")  # at most 248
+
+    _in_bands(image.height, image.width, band)
     return GrayImage(gray)
 
 
@@ -164,25 +214,32 @@ def smooth(gray: GrayImage, params: CannyParams) -> GrayImage:
     Borders clamp to the edge and each pass adds its taps in kernel order, so
     every output pixel is one fixed float64 expression. ``rows`` holds the
     horizontal sums a block's vertical pass reads; the last 2*radius of them
-    carry over to the next block.
+    carry over to the next block of the same band, and a band's first block
+    computes its own.
     """
     kernel = _KERNELS[params.sigma_tenths]
     span, width = len(kernel) - 1, gray.width
     padded = np.pad(gray.values, span // 2, mode="edge")
-    source = np.empty((_BLOCK_ROWS + span, width + span))
-    rows, tmp = np.empty((2, _BLOCK_ROWS + span, width))
-    acc = np.empty((_BLOCK_ROWS, width))
     out = np.empty((gray.height, width), dtype=np.uint8)
-    for y0, y1 in _row_blocks(gray.height):
-        n, done = y1 - y0, span if y0 else 0
-        rows[:done] = rows[_BLOCK_ROWS : _BLOCK_ROWS + done]  # overlap with the full block before
-        src = source[: n + span - done]
-        src[...] = padded[y0 + done : y1 + span]
-        _correlate(lambda t: src[:, t : t + width], kernel, rows[done : n + span], tmp[: len(src)])
-        block = acc[:n]
-        _correlate(lambda t: rows[t : t + n], kernel, block, tmp[:n])
-        # taps > 0 summing to 1 keep this in [0.5, 255.5 + 1e-12]: the cast rounds, no clip
-        np.add(block, 0.5, out=out[y0:y1], casting="unsafe")
+
+    def band(b0: int, b1: int):
+        source = np.empty((_BLOCK_ROWS + span, width + span))
+        rows, tmp = np.empty((2, _BLOCK_ROWS + span, width))
+        acc = np.empty((_BLOCK_ROWS, width))
+        for y0, y1 in _row_blocks(b0, b1):
+            n, done = y1 - y0, span if y0 > b0 else 0
+            # overlap with the full block before
+            rows[:done] = rows[_BLOCK_ROWS : _BLOCK_ROWS + done]
+            src = source[: n + span - done]
+            src[...] = padded[y0 + done : y1 + span]
+            _correlate(lambda t: src[:, t : t + width], kernel, rows[done : n + span],
+                       tmp[: len(src)])
+            block = acc[:n]
+            _correlate(lambda t: rows[t : t + n], kernel, block, tmp[:n])
+            # taps > 0 summing to 1 keep this in [0.5, 255.5 + 1e-12]: the cast rounds, no clip
+            np.add(block, 0.5, out=out[y0:y1], casting="unsafe")
+
+    _in_bands(gray.height, width, band)
     return GrayImage(out)
 
 
@@ -227,21 +284,25 @@ def gradients(smoothed: GrayImage) -> tuple[np.ndarray, np.ndarray]:
     padded = np.pad(smoothed.values, 1, mode="edge")
     raw = np.empty(smoothed.values.shape, dtype=np.uint16)  # at most sqrt(2) * 1020
     direction = np.empty_like(smoothed.values)
-    root = np.empty((_BLOCK_ROWS, smoothed.width))
-    for y0, y1 in _row_blocks(smoothed.height):
-        gx, gy = _sobel(padded[y0 : y1 + 2].astype(np.int32))
-        # gx**2 + gy**2 <= 2 * 1020**2 is exact in int32 and float64
-        block = np.sqrt(gx * gx + gy * gy, out=root[: y1 - y0])
-        block += 0.5
-        raw[y0:y1] = block  # the cast truncates: round half up
-        direction[y0:y1] = _direction_bins(gx, gy)
+
+    def band(b0: int, b1: int):
+        root = np.empty((_BLOCK_ROWS, smoothed.width))
+        for y0, y1 in _row_blocks(b0, b1):
+            gx, gy = _sobel(padded[y0 : y1 + 2].astype(np.int32))
+            # gx**2 + gy**2 <= 2 * 1020**2 is exact in int32 and float64
+            block = np.sqrt(gx * gx + gy * gy, out=root[: y1 - y0])
+            block += 0.5
+            raw[y0:y1] = block  # the cast truncates: round half up
+            direction[y0:y1] = _direction_bins(gx, gy)
+
+    _in_bands(smoothed.height, smoothed.width, band)
 
     # round-half-up of 255*raw/peak in integer arithmetic; 510 * 1443 + 1443
     # fits in uint32, and a flat image (peak 0) maps to all zeros
     peak = max(int(raw.max()), 1)
     magnitude = np.empty_like(smoothed.values)
     acc = np.empty((_BLOCK_ROWS, smoothed.width), dtype=np.uint32)
-    for y0, y1 in _row_blocks(smoothed.height):
+    for y0, y1 in _row_blocks(0, smoothed.height):
         scaled = np.multiply(raw[y0:y1], 510, out=acc[: y1 - y0], dtype=np.uint32)
         scaled += peak
         np.floor_divide(scaled, 2 * peak, out=magnitude[y0:y1], casting="unsafe")  # at most 255
@@ -256,7 +317,7 @@ def non_max_suppression(magnitude: np.ndarray, direction: np.ndarray) -> np.ndar
     p = np.pad(magnitude, 1)  # zeros
     width = magnitude.shape[1]
     out = np.empty_like(magnitude)
-    for y0, y1 in _row_blocks(magnitude.shape[0]):
+    for y0, y1 in _row_blocks(0, magnitude.shape[0]):
         m, d = magnitude[y0:y1], direction[y0:y1]
         keep = np.zeros(m.shape, dtype=bool)
         # each bin's two neighbors as (row, column) offsets into the padded copy
@@ -296,7 +357,7 @@ def hysteresis(thinned: np.ndarray, params: CannyParams) -> EdgeMap:
     edges = thinned >= params.high_threshold
     last = len(edges) - 1
     keep = np.zeros(n_components + 1, dtype=bool)
-    for i0, i1 in _row_blocks(len(rows)):
+    for i0, i1 in _row_blocks(0, len(rows)):
         r, block = rows[i0:i1], labels[i0:i1]
         # a strong pixel in the 3x3 window of each kept pixel: the rows above
         # and below (clipped at the border), then one column either way
@@ -308,7 +369,7 @@ def hysteresis(thinned: np.ndarray, params: CannyParams) -> EdgeMap:
         keep[block[touch]] = True
     # only now, with every seed found, may weak pixels join the strong mask
     linked = np.empty((_BLOCK_ROWS, edges.shape[1]), dtype=bool)
-    for i0, i1 in _row_blocks(len(rows)):
+    for i0, i1 in _row_blocks(0, len(rows)):
         edges[rows[i0:i1]] |= np.take(keep, labels[i0:i1], out=linked[: i1 - i0])
     return EdgeMap(edges)
 

@@ -22,7 +22,7 @@ from .canny import CannyParams, detect_edges
 from .carrier import BITS_PER_CARRIER, capacity_of, carrier_arrays
 from .codec import HEADER_MAGIC, HEADER_VERSION, check_geometry, embed_at, extract, read_header
 from .errors import CorruptHeader, StegoError
-from .image import EdgeMap, RgbImage
+from .image import RgbImage
 from .metrics import diff
 
 EXIT_USAGE = 1
@@ -100,12 +100,6 @@ def _header_lines(params: CannyParams, payload_len: int) -> list[str]:
             f"high threshold: {params.high_threshold}", f"payload bytes: {payload_len}"]
 
 
-def _detect(args) -> tuple[RgbImage, EdgeMap]:
-    params = CannyParams(args.sigma, args.low, args.high)
-    image = _load_image(args.in_path)
-    return image, detect_edges(image, params)
-
-
 def _cmd_embed(args) -> list[str]:
     params = CannyParams(args.sigma, args.low, args.high)
     cover = _load_image(args.in_path)
@@ -142,8 +136,10 @@ def _cmd_extract(args) -> list[str]:
 
 
 def _cmd_capacity(args) -> list[str]:
-    image, edges = _detect(args)
+    params = CannyParams(args.sigma, args.low, args.high)
+    image = _load_image(args.in_path)
     check_geometry(image)  # a cover that embed refuses has no capacity to report
+    edges = detect_edges(image, params)
     carriers = carrier_arrays(edges)
     lines = [f"edge pixels: {edges.count}", f"carrier pixels: {carriers.size}",
              f"capacity bits: {BITS_PER_CARRIER * carriers.size}",
@@ -155,7 +151,8 @@ def _cmd_capacity(args) -> list[str]:
 
 
 def _cmd_edges(args) -> list[str]:
-    _, edges = _detect(args)
+    params = CannyParams(args.sigma, args.low, args.high)
+    edges = detect_edges(_load_image(args.in_path), params)
     rendered = np.zeros((edges.height, edges.width, 3), dtype=np.uint8)
     rendered[edges.membership] = 255
     _write_file(args.out, write_bmp(RgbImage(rendered)))

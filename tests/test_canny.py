@@ -4,6 +4,7 @@ reference, plus the invariance property the whole scheme rests on."""
 import hashlib
 import itertools
 import math
+import threading
 import tracemalloc
 from fractions import Fraction
 
@@ -17,6 +18,7 @@ from edgestego.canny import (
     _BLOCK_ROWS as _BLOCK,
     _KERNELS,
     _direction_bins,
+    _in_bands,
     gradients,
     hysteresis,
     non_max_suppression,
@@ -24,7 +26,7 @@ from edgestego.canny import (
     to_masked_gray,
 )
 from edgestego.image import GrayImage
-from helpers import sobel
+from helpers import force_bands, sobel
 import oracles
 
 
@@ -456,6 +458,64 @@ def test_hysteresis_peak_memory_on_mostly_weak_maps(low):
     finally:
         tracemalloc.stop()
     assert peak <= 6 * thinned.size
+
+
+# ------------------------------------------------------------ parallel bands
+
+
+@pytest.mark.parametrize("cpus", [2, 3, 5])
+@pytest.mark.parametrize("height", [1, 3, 32, 33, 97, 200])
+def test_bands_cover_each_row_once_in_whole_blocks(monkeypatch, cpus, height):
+    force_bands(monkeypatch, cpus)
+    bands = []
+    _in_bands(height, 1, lambda y0, y1: bands.append((y0, y1)))
+    bands.sort()
+    assert len(bands) == min(cpus, height)
+    assert [y0 for y0, _ in bands[1:]] == [y1 for _, y1 in bands[:-1]]
+    assert bands[0][0] == 0 and bands[-1][1] == height
+    assert all(y0 % _BLOCK == 0 for y0, _ in bands)
+
+
+@pytest.mark.parametrize("cpus", [2, 3])
+@pytest.mark.parametrize("width,height", [(3, 3), (27, 33), (65, 97)])
+@pytest.mark.parametrize("tenths", [10, 23, 30])
+def test_banded_stages_equal_one_band(monkeypatch, cpus, width, height, tenths):
+    rng = np.random.default_rng(width * height + tenths)
+    image = RgbImage(rng.integers(0, 256, (height, width, 3), dtype=np.uint8))
+    params = CannyParams(tenths, 5, 40)
+
+    def stages():
+        gray = to_masked_gray(image)
+        smoothed = smooth(gray, params)
+        return (gray.values, smoothed.values, *gradients(smoothed),
+                detect_edges(image, params).membership)
+
+    one_band = stages()
+    force_bands(monkeypatch, cpus)
+    for banded, single in zip(stages(), one_band, strict=True):
+        assert np.array_equal(banded, single)
+
+
+def test_banded_detector_leaves_no_thread_behind(monkeypatch):
+    force_bands(monkeypatch, 3)
+    image = RgbImage(np.random.default_rng(4).integers(0, 256, (70, 40, 3), dtype=np.uint8))
+    before = threading.active_count()
+    detect_edges(image, CannyParams(15, 5, 40))
+    assert threading.active_count() == before
+
+
+def test_a_failing_worker_band_raises_in_the_caller(monkeypatch):
+    force_bands(monkeypatch, 3)
+    caller = threading.get_ident()
+
+    def work(y0, y1):
+        if threading.get_ident() != caller:
+            raise ValueError(f"band {y0}..{y1}")
+
+    before = threading.active_count()
+    with pytest.raises(ValueError, match="band"):
+        _in_bands(97, 1, work)
+    assert threading.active_count() == before
 
 
 # ------------------------------------------------------------ whole pipeline

@@ -547,7 +547,7 @@ def test_too_narrow_image_exits_three(tmp_path):
     assert "ImageTooNarrow" in err
 
 
-def test_capacity_refuses_a_cover_that_embed_refuses(tmp_path):
+def test_capacity_refuses_a_cover_that_embed_refuses(tmp_path, monkeypatch):
     # 10 pixels wide: the detector finds room, but the 27-pixel header row does not fit
     rng = np.random.default_rng(5)
     narrow = tmp_path / "narrow.bmp"
@@ -558,7 +558,10 @@ def test_capacity_refuses_a_cover_that_embed_refuses(tmp_path):
         "embed", "--in", str(narrow), "--data", str(data), *_PARAMS,
         "--out", str(tmp_path / "c.bmp"),
     ])
+    detected = []
+    monkeypatch.setattr(edgestego.cli, "detect_edges", lambda *args: detected.append(args))
     code, out, err = run_cli(["capacity", "--in", str(narrow), *_PARAMS])
+    assert detected == []  # refused before the detector runs
     assert embedded[0] == code == 3
     assert embedded[1] == out == ""
     assert embedded[2] == err

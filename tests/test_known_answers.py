@@ -5,7 +5,8 @@ change that moves carriers consistently. These digests can: two seeded
 covers crossed with the acceptance suite's four parameter sets, each with
 the digest of its packed edge map and of ``write_bmp(embed(...))`` for a
 fixed payload; two taller covers whose heights are not a multiple of the
-detector's row block; the digests of the Gaussian taps for every sigma; and
+detector's row block; all of these again with the detector's stages forced
+into parallel row bands; the digests of the Gaussian taps for every sigma; and
 a committed carrier file that must keep extracting to its payload. A
 refactor must leave every digest unchanged. The last test runs all of this
 again with numpy's SIMD kernels switched off, as a stand-in for a receiver
@@ -23,6 +24,7 @@ import pytest
 
 from edgestego import CannyParams, RgbImage, detect_edges, embed, extract, read_bmp, write_bmp
 from edgestego.canny import _KERNELS
+from helpers import force_bands
 from test_acceptance import PARAM_SETS
 
 PAYLOAD = bytes(range(200))  # fits every cover/params pair below
@@ -79,13 +81,16 @@ def _sha256(data):
     return hashlib.sha256(data).hexdigest()
 
 
+def _digests(cover, params):
+    """The (edge map digest, carrier BMP digest) pair the vectors pin."""
+    edges = detect_edges(cover, params)
+    return (_sha256(np.packbits(edges.membership).tobytes()),
+            _sha256(write_bmp(embed(cover, PAYLOAD, params))))
+
+
 @pytest.mark.parametrize("seed,index", sorted(VECTORS))
 def test_known_answer(seed, index):
-    cover, params = _cover(seed), PARAM_SETS[index]
-    edges_digest, bmp_digest = VECTORS[seed, index]
-    edges = detect_edges(cover, params)
-    assert _sha256(np.packbits(edges.membership).tobytes()) == edges_digest
-    assert _sha256(write_bmp(embed(cover, PAYLOAD, params))) == bmp_digest
+    assert _digests(_cover(seed), PARAM_SETS[index]) == VECTORS[seed, index]
 
 
 # (width, height, sigma in tenths) -> (edge map digest, carrier BMP digest),
@@ -125,10 +130,18 @@ def _tall_cover(width, height):
 @pytest.mark.parametrize("width,height,tenths", sorted(TALL_VECTORS))
 def test_known_answer_across_row_blocks(width, height, tenths):
     cover, params = _tall_cover(width, height), CannyParams(tenths, 5, 40)
-    edges_digest, bmp_digest = TALL_VECTORS[width, height, tenths]
-    edges = detect_edges(cover, params)
-    assert _sha256(np.packbits(edges.membership).tobytes()) == edges_digest
-    assert _sha256(write_bmp(embed(cover, PAYLOAD, params))) == bmp_digest
+    assert _digests(cover, params) == TALL_VECTORS[width, height, tenths]
+
+
+@pytest.mark.parametrize("cpus", [2, 3])
+def test_known_answers_hold_in_forced_bands(monkeypatch, cpus):
+    # with 3 CPUs some of these covers get an empty band, and every cover
+    # gets a band that ends mid-block
+    force_bands(monkeypatch, cpus)
+    for (seed, index), digests in VECTORS.items():
+        assert _digests(_cover(seed), PARAM_SETS[index]) == digests
+    for (width, height, tenths), digests in TALL_VECTORS.items():
+        assert _digests(_tall_cover(width, height), CannyParams(tenths, 5, 40)) == digests
 
 
 # sigma in tenths -> SHA-256 of the little-endian float64 bytes of the
