@@ -106,6 +106,7 @@ def _cmd_embed(args) -> list[str]:
     with open(args.data, "rb") as handle:
         payload = handle.read()
 
+    check_geometry(cover)  # before the detector, which a too-narrow cover would waste
     carriers = carrier_arrays(detect_edges(cover, params))
     _write_file(args.out, write_bmp(embed_at(cover, payload, params, carriers)))
     return [f"carrier pixels: {carriers.size}", f"capacity bytes: {capacity_of(carriers.size)}",

@@ -119,6 +119,7 @@ def embed(image: RgbImage, payload: bytes, params: CannyParams) -> RgbImage:
     Only bit 0 of the 27 header pixels in row 0 and bits 0..2 of the carrier
     pixels that actually receive payload are modified.
     """
+    check_geometry(image)  # before the detector, which a too-narrow cover would waste
     return embed_at(image, payload, params, carrier_arrays(detect_edges(image, params)))
 
 

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from edgestego import CannyParams, ImageTooSmall, ParamOutOfRange, RgbImage, detect_edges
+from edgestego import CannyParams, ImageTooSmall, ParamOutOfRange, RgbImage, canny, detect_edges
 from edgestego.canny import (
     _BLOCK_ROWS as _BLOCK,
     _KERNELS,
@@ -441,6 +441,66 @@ def test_hysteresis_matches_dense_labelling_on_large_maps(kind):
         edges = hysteresis(thinned, CannyParams(15, low, high))
         assert np.array_equal(
             edges.membership, oracles.hysteresis_dense_reference(thinned, low, high)
+        )
+
+
+def _assert_hysteresis_matches_dense_labelling(thinned, low, high):
+    edges = hysteresis(thinned, CannyParams(15, low, high))
+    assert np.array_equal(edges.membership, oracles.hysteresis_dense_reference(thinned, low, high))
+
+
+@pytest.mark.parametrize("seed_row", [0, 1])
+def test_hysteresis_keeps_runs_apart_across_a_row_end(seed_row):
+    # one weak run ends at the last column of row 1 and another starts at column 0
+    # of row 2: neighbours in memory, far apart in the image
+    thinned = np.zeros((4, 6), dtype=np.uint8)
+    thinned[1, 4:] = 25
+    thinned[2, :2] = 25
+    thinned[seed_row * 3, 5 if seed_row == 0 else 0] = 90  # beside one run only
+    _assert_hysteresis_matches_dense_labelling(thinned, 20, 40)
+    kept = hysteresis(thinned, CannyParams(15, 20, 40)).membership
+    assert kept[1, 4:].all() == (seed_row == 0)
+    assert kept[2, :2].all() == (seed_row == 1)
+    assert kept.sum() == 3
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 2), (1, 61), (2, 1), (61, 1)])
+def test_hysteresis_on_one_row_and_one_column_maps(shape):
+    rng = np.random.default_rng(shape)
+    for _ in range(20):
+        thinned = rng.choice(np.array([0, 25, 90], np.uint8), shape, p=[0.3, 0.5, 0.2])
+        _assert_hysteresis_matches_dense_labelling(thinned, 20, 40)
+
+
+@pytest.mark.parametrize("shape", [(1, 9), (7, 1), (5, 9), (_BLOCK + 1, 4)])
+def test_hysteresis_on_all_weak_maps(shape):
+    # every run spans a whole row
+    thinned = np.full(shape, 25, dtype=np.uint8)
+    _assert_hysteresis_matches_dense_labelling(thinned, 20, 40)
+    assert hysteresis(thinned, CannyParams(15, 20, 40)).count == 0
+    for y, x in ((0, 0), (shape[0] - 1, shape[1] - 1), (shape[0] // 2, shape[1] // 2)):
+        seeded = thinned.copy()
+        seeded[y, x] = 90
+        _assert_hysteresis_matches_dense_labelling(seeded, 20, 40)
+        assert hysteresis(seeded, CannyParams(15, 20, 40)).membership.all()
+
+
+@pytest.mark.parametrize("height", [_BLOCK - 1, _BLOCK, _BLOCK + 1])
+def test_hysteresis_matches_dense_labelling_at_block_heights(height):
+    rng = np.random.default_rng(height)
+    gray = to_masked_gray(RgbImage(rng.integers(0, 256, (height, 300, 3), dtype=np.uint8)))
+    thinned = non_max_suppression(*gradients(smooth(gray, CannyParams(15, 5, 40))))
+    for low, high in ((5, 40), (20, 60), (0, 255), (1, 255), (40, 40)):
+        _assert_hysteresis_matches_dense_labelling(thinned, low, high)
+
+
+def test_hysteresis_matches_fixpoint_reference_in_one_row_blocks(monkeypatch):
+    # a seam between every two rows: links, merges and seeds all cross blocks
+    monkeypatch.setattr(canny, "_BLOCK_ROWS", 1)
+    for thinned, low, high in _hysteresis_cases():
+        edges = hysteresis(thinned, CannyParams(15, low, high))
+        assert np.array_equal(
+            edges.membership, oracles.hysteresis_reference(thinned, low, high)
         )
 
 

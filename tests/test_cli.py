@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 import edgestego
 import edgestego.cli
+import edgestego.codec
 import edgestego.errors
 from edgestego import (
     BadMagic,
@@ -508,19 +509,30 @@ def test_a_write_cut_short_keeps_the_previous_output(tmp_path, cover):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["c.bmp", "cover.bmp", "p.bin"]
 
 
-def test_commands_without_a_detector_never_import_scipy(cover, carrier):
-    # scipy's import is most of a cold start; only the hysteresis labelling needs it
+def test_every_command_runs_without_scipy(tmp_path, cover, carrier):
+    # numpy is the only runtime dependency; scipy is left to the test oracles
+    data = tmp_path / "p.bin"
+    data.write_bytes(b"hidden")
     script = (
         "import sys\n"
+        "sys.modules['scipy'] = None  # every import of scipy now fails\n"
         "from edgestego.cli import main\n"
-        "assert main(['inspect', '--in', sys.argv[1]]) == 0\n"
-        "assert main(['metrics', '--a', sys.argv[1], '--b', sys.argv[2]]) == 0\n"
-        "assert 'scipy' not in sys.modules, 'scipy was imported'\n"
+        "cover, carrier, data, out = sys.argv[1:]\n"
+        "params = ['--sigma', '1.5', '--low', '5', '--high', '40']\n"
+        "for argv in (['embed', '--in', cover, '--data', data, *params, '--out', out + '.bmp'],\n"
+        "             ['extract', '--in', carrier, '--out', out + '.bin'],\n"
+        "             ['capacity', '--in', cover, *params],\n"
+        "             ['edges', '--in', cover, *params, '--out', out + '-edges.bmp'],\n"
+        "             ['inspect', '--in', carrier],\n"
+        "             ['metrics', '--a', cover, '--b', carrier]):\n"
+        "    assert main(argv) == 0, argv\n"
     )
     env = {**os.environ, "PYTHONPATH": str(Path(edgestego.__file__).parents[1])}
-    done = subprocess.run([sys.executable, "-c", script, str(carrier[0]), str(cover)], env=env,
+    argv = [str(cover), str(carrier[0]), str(data), str(tmp_path / "out")]
+    done = subprocess.run([sys.executable, "-c", script, *argv], env=env,
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
+    assert (tmp_path / "out.bin").read_bytes() == carrier[1]
 
 
 def test_non_bmp_input_exits_three(tmp_path):
@@ -566,6 +578,28 @@ def test_capacity_refuses_a_cover_that_embed_refuses(tmp_path, monkeypatch):
     assert embedded[1] == out == ""
     assert embedded[2] == err
     assert "ImageTooNarrow" in err and "remedy: " in err
+
+
+def test_embed_refuses_a_narrow_cover_before_detecting(tmp_path, monkeypatch):
+    # library and CLI embed check the header row before running the detector
+    pixels = np.random.default_rng(5).integers(0, 256, (36, 10, 3), dtype=np.uint8)
+    narrow = tmp_path / "narrow.bmp"
+    narrow.write_bytes(write_bmp(RgbImage(pixels)))
+    data = tmp_path / "p.bin"
+    data.write_bytes(b"x")
+    detected = []
+    for module in (edgestego.cli, edgestego.codec):
+        monkeypatch.setattr(module, "detect_edges", lambda *args: detected.append(args))
+    with pytest.raises(edgestego.errors.ImageTooNarrow):
+        edgestego.embed(RgbImage(pixels), b"x", CannyParams(15, 5, 40))
+    code, out, err = run_cli([
+        "embed", "--in", str(narrow), "--data", str(data), *_PARAMS,
+        "--out", str(tmp_path / "c.bmp"),
+    ])
+    assert detected == []
+    assert (code, out) == (3, "")
+    assert "ImageTooNarrow" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["narrow.bmp", "p.bin"]
 
 
 def test_oversized_payload_exits_four(tmp_path, cover):
