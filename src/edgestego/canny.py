@@ -3,23 +3,27 @@
 The detector is the shared secret between the two communicating parties, so
 every stage is pinned down exactly. The Gaussian taps are a table of
 float64 literals, so no machine's ``exp`` computes them; floating point
-appears only in the smoothing sums (taps added in a fixed order) and one
-correctly rounded IEEE square root per pixel, and IEEE fixes both. The gray
-projection is integer arithmetic, directions are binned by integer tests
-and every stage rounds back to integers. The gray projection zeroes the
-three LSBs of every channel first, so the whole pipeline is invariant under
-any payload written into those bits. Every stage works on blocks of
-``_BLOCK_ROWS`` rows, gathers included, so its temporaries stay in cache; no
-value depends on blocking. On images of two bands' worth of pixels or more
-(``_BAND_MIN_PIXELS`` each, so 2048 x 2048 and up), the masked gray, the
-smoothing and the Sobel pass split the rows into one band of whole blocks per
-CPU and run the bands on threads that live for the call only. Each pixel is
-still the same expression of the same inputs, so banding cannot change a bit.
-The gradient rescale waits for the global peak and non-maximum suppression
-measured slower in bands, so both stay on one thread. Only the hysteresis
-labelling spans the image. It labels just the weak pixels, since strong
-pixels are edges whatever their neighbours, and it labels their runs along
-the rows, not single pixels, with numpy alone.
+appears only in the smoothing sums (float64, taps added in a fixed order)
+and one correctly rounded IEEE square root per pixel, and IEEE fixes both.
+The smoothing evaluates its float64 sums in float32, within a proven
+6.3e-4, and gives a pixel whose float32 value lies within ``_TIE`` (2**-10)
+of a rounding tie the float64 expression itself, so the edge map is the
+same bit for bit whatever SIMD kernels numpy uses. The gray projection is
+integer arithmetic, directions are binned by integer tests and every stage
+rounds back to integers. The gray projection zeroes the three LSBs of every
+channel first, so the whole pipeline is invariant under any payload written
+into those bits. Every stage works on blocks of ``_BLOCK_ROWS`` rows,
+gathers included, so its temporaries stay in cache; no value depends on
+blocking. On images of two bands' worth of pixels or more
+(``_BAND_MIN_PIXELS`` each, so 2048 x 2048 and up), the smoothing and the
+Sobel pass split the rows into one band of whole blocks per CPU and run the
+bands on threads that live for the call only. Each pixel is still the same
+expression of the same inputs, so banding cannot change a bit. The masked
+gray and non-maximum suppression measured slower in bands and the gradient
+rescale waits for the global peak, so these stay on one thread. Only the
+hysteresis labelling spans the image. It labels just the weak pixels, since
+strong pixels are edges whatever their neighbours, and it labels their runs
+along the rows, not single pixels, with numpy alone.
 """
 
 from __future__ import annotations
@@ -48,6 +52,11 @@ _BAND_MIN_PIXELS = 2**21
 # measured 1 ms faster than 8).
 _LABEL_BLOCKS = 8
 _LABEL_BLOCK_PIXELS = 2**18
+# A float32 smoothing sum within _TIE of a rounding boundary is recomputed in
+# float64 (the bound is derived in smooth), _TIE_CHUNK pixels at a time: at
+# sigma 3.0 a chunk's windows and sums take about 1.5 MB.
+_TIE = 2.0**-10
+_TIE_CHUNK = 2048
 
 
 @dataclass(frozen=True)
@@ -132,21 +141,19 @@ def to_masked_gray(image: RgbImage) -> GrayImage:
     for any two images that differ only in channel bits 0..2. The projection
     is 0.299/0.587/0.114 luminance rounded half up, computed exactly in
     integers as (299r + 587g + 114b + 500) // 1000 of the masked channels.
+    With r = 8R (R = r >> 3, likewise G and B) that is
+    (2 (299R + 587G + 114B) + 125) // 250, at most 62125: it fits uint16.
     """
     gray = np.empty((image.height, image.width), dtype=np.uint8)
-
-    def band(b0: int, b1: int):
-        for y0, y1 in _row_blocks(b0, b1):
-            block = image.pixels[y0:y1] & 0xF8
-            # one channel at a time, so the only temporaries are 2-D; the products are
-            # uint32 only under numpy 2's NEP 50 (numpy 1 picks uint16/uint8 and wraps)
-            luma = block[..., 0] * np.uint32(299)
-            luma += block[..., 1] * np.uint32(587)
-            luma += block[..., 2] * np.uint32(114)
-            luma += 500
-            np.floor_divide(luma, 1000, out=gray[y0:y1], casting="unsafe")  # at most 248
-
-    _in_bands(image.height, image.width, band)
+    for y0, y1 in _row_blocks(0, image.height):
+        block = image.pixels[y0:y1] >> 3
+        # one channel at a time, so the only temporaries are 2-D; the products are
+        # uint16 only under numpy 2's NEP 50 (numpy 1 keeps uint8 and wraps)
+        luma = block[..., 0] * np.uint16(2 * 299)
+        luma += block[..., 1] * np.uint16(2 * 587)
+        luma += block[..., 2] * np.uint16(2 * 114)
+        luma += 125
+        np.floor_divide(luma, 250, out=gray[y0:y1], casting="unsafe")  # at most 248
     return GrayImage(gray)
 
 
@@ -216,36 +223,92 @@ def _correlate(window, kernel: np.ndarray, out: np.ndarray, tmp: np.ndarray):
         out += tmp
 
 
+def _fix_ties(padded: np.ndarray, kernel: np.ndarray, ties: np.ndarray, out: np.ndarray):
+    """Set the pixels at flat indices ``ties`` of ``out`` to the float64 smoothing.
+
+    Each pixel's window of the edge-padded gray is gathered, summed along its
+    rows and then down the row sums, both in tap order, plus 0.5 and
+    truncated: the same float64 expression as ``smooth``'s definition.
+    """
+    span, width = len(kernel) - 1, out.shape[1]
+    windows = np.lib.stride_tricks.sliding_window_view(padded, (span + 1, span + 1))
+    pixels = out.reshape(-1)
+    for i in range(0, len(ties), _TIE_CHUNK):
+        index = ties[i : i + _TIE_CHUNK]
+        window = windows[np.divmod(index, width)]  # uint8, one square per pixel
+        rows, tmp = np.empty((2, len(index), span + 1))
+        _correlate(lambda t: window[:, :, t], kernel, rows, tmp)
+        sums, tmp = np.empty((2, len(index)))
+        _correlate(lambda t: rows[:, t], kernel, sums, tmp)
+        sums += 0.5
+        pixels[index] = sums  # the cast truncates: round half up
+
+
 def smooth(gray: GrayImage, params: CannyParams) -> GrayImage:
     """Separable Gaussian blur: horizontal pass, vertical pass, round to 8 bits.
 
-    Borders clamp to the edge and each pass adds its taps in kernel order, so
-    every output pixel is one fixed float64 expression. ``rows`` holds the
-    horizontal sums a block's vertical pass reads; the last 2*radius of them
-    carry over to the next block of the same band, and a band's first block
-    computes its own.
+    Borders clamp to the edge and each pass adds its taps in kernel order in
+    float64, then 0.5 is added and the sum truncated: that fixed expression
+    per pixel is the definition. float32 evaluates it, and only the pixels it
+    cannot settle get the float64 expression itself (``_fix_ties``): a
+    floating-point filter in the sense of Shewchuk (Adaptive Precision
+    Floating-Point Arithmetic and Fast Robust Geometric Predicates, DCG 1997).
+
+    Each float32 pass sums at most 19 products of a tap and a value in
+    0..255, with taps that sum to 1. Rounding the taps, the products and
+    the partial sums costs at most 20 units of 2**-24 relative to that
+    sum (the gamma_n bound of Higham, Accuracy and Stability of Numerical
+    Algorithms, 2002, sections 3-4), so each pass errs by at most
+    20 * 2**-24 * 255 = 3.0e-4 against exact arithmetic on the float64
+    taps, and both passes by 6.1e-4, since the vertical pass's taps also
+    sum to 1 and carry the horizontal error through unscaled. The float64
+    sums err by about 1e-12 and the float32 ``+ 0.5`` by at most 2**-16, so
+    the two values differ by less than 6.3e-4, below ``_TIE`` = 2**-10
+    (9.8e-4). A float32 value at least ``_TIE`` from every integer after the
+    ``+ 0.5`` therefore truncates as the float64 one does; the rest, about
+    0.2% of the pixels of smooth or noisy covers, are recomputed. The edge
+    map stays bit-identical whatever SIMD kernels numpy uses for float32.
+    Columns alternating between two adjacent levels put every pixel near a
+    tie at sigma 3.0, and there smoothing takes about 25 times as long.
+
+    ``rows`` holds the horizontal sums a block's vertical pass reads; the
+    last 2*radius of them carry over to the next block of the same band,
+    and a band's first block computes its own. Each band fixes its own ties,
+    once it has found ``_TIE_CHUNK`` of them and at its end.
     """
     kernel = _KERNELS[params.sigma_tenths]
+    taps = kernel.astype(np.float32)
     span, width = len(kernel) - 1, gray.width
     padded = np.pad(gray.values, span // 2, mode="edge")
     out = np.empty((gray.height, width), dtype=np.uint8)
 
     def band(b0: int, b1: int):
-        source = np.empty((_BLOCK_ROWS + span, width + span))
-        rows, tmp = np.empty((2, _BLOCK_ROWS + span, width))
-        acc = np.empty((_BLOCK_ROWS, width))
+        source = np.empty((_BLOCK_ROWS + span, width + span), dtype=np.float32)
+        rows, tmp = np.empty((2, _BLOCK_ROWS + span, width), dtype=np.float32)
+        acc = np.empty((_BLOCK_ROWS, width), dtype=np.float32)
+        ties, pending = [], 0
         for y0, y1 in _row_blocks(b0, b1):
             n, done = y1 - y0, span if y0 > b0 else 0
             # overlap with the full block before
             rows[:done] = rows[_BLOCK_ROWS : _BLOCK_ROWS + done]
             src = source[: n + span - done]
             src[...] = padded[y0 + done : y1 + span]
-            _correlate(lambda t: src[:, t : t + width], kernel, rows[done : n + span],
+            _correlate(lambda t: src[:, t : t + width], taps, rows[done : n + span],
                        tmp[: len(src)])
             block = acc[:n]
-            _correlate(lambda t: rows[t : t + n], kernel, block, tmp[:n])
-            # taps > 0 summing to 1 keep this in [0.5, 255.5 + 1e-12]: the cast rounds, no clip
-            np.add(block, 0.5, out=out[y0:y1], casting="unsafe")
+            _correlate(lambda t: rows[t : t + n], taps, block, tmp[:n])
+            # taps > 0 summing to 1 keep this in [0.5, 255.5 + 1e-3]: the cast rounds, no clip
+            block += 0.5
+            out[y0:y1] = block
+            block -= out[y0:y1]  # the fraction, exactly
+            near = block < _TIE
+            near |= block > 1 - _TIE
+            ties.append(np.flatnonzero(near) + y0 * width)
+            pending += len(ties[-1])
+            # fixed a chunk's worth at a time, so the indices kept stay few
+            if pending >= _TIE_CHUNK or y1 == b1:
+                _fix_ties(padded, kernel, np.concatenate(ties), out)
+                ties, pending = [], 0
 
     _in_bands(gray.height, width, band)
     return GrayImage(out)

@@ -60,18 +60,28 @@ def _correlate1d_clamped(values, kernel, axis):
     return out
 
 
+def separable_sums(values, kernel):
+    """The smoothing sums before rounding, in the kernel's float type.
+
+    Horizontal pass, then vertical pass, each a sum over the taps in kernel
+    order starting from 0.0. With a float64 kernel these are the sums that
+    define the detector's smoothing; with the same taps cast to float32 they
+    are the plain float32 evaluation of the same expression.
+    """
+    acc = _correlate1d_clamped(values.astype(kernel.dtype), kernel, axis=1)
+    return _correlate1d_clamped(acc, kernel, axis=0)
+
+
 def smooth_separable_reference(values, kernel):
     """The detector's smoothing written out plainly: an exact reference.
 
-    Horizontal pass, then vertical pass, each a float64 sum over the taps in
-    kernel order starting from 0.0, then round half up and clip to 0..255.
+    The float64 ``separable_sums``, rounded half up and clipped to 0..255.
     Any implementation that computes the same sums in the same order gives
     the same bytes; a reordered sum can differ by one gray level. The taps
     come from the caller (a row of the package's frozen tap table), so this
     checks the summation, not the kernel.
     """
-    acc = _correlate1d_clamped(values.astype(np.float64), kernel, axis=1)
-    acc = _correlate1d_clamped(acc, kernel, axis=0)
+    acc = separable_sums(values, kernel)
     return np.clip(np.floor(acc + 0.5), 0, 255).astype(np.uint8)
 
 

@@ -17,6 +17,7 @@ from edgestego import CannyParams, ImageTooSmall, ParamOutOfRange, RgbImage, can
 from edgestego.canny import (
     _BLOCK_ROWS as _BLOCK,
     _KERNELS,
+    _TIE,
     _direction_bins,
     _in_bands,
     gradients,
@@ -145,7 +146,7 @@ def test_smooth_matches_direct_convolution():
         assert np.abs(ours - ref).max() <= 1
 
 
-@pytest.mark.parametrize("tenths", [10, 23, 30])
+@pytest.mark.parametrize("tenths", range(10, 31))
 def test_smooth_is_exactly_the_separable_sum(tenths):
     # The detector is the shared secret, so smoothing must reproduce the
     # separable sum byte for byte, also across the row blocks it works in:
@@ -158,6 +159,61 @@ def test_smooth_is_exactly_the_separable_sum(tenths):
             ours = smooth(_gray(values), CannyParams(tenths, 0, 255))
             expected = oracles.smooth_separable_reference(values, kernel)
             assert np.array_equal(ours.values, expected), (height, width)
+
+
+_SMOOTH_PATTERNS = {
+    "zeros": lambda y, x: 0 * x,
+    "full": lambda y, x: 0 * x + 255,
+    "stripes": lambda y, x: x % 2 * 255,
+    "level stripes": lambda y, x: x % 2,  # near ties everywhere at large sigma
+    "wide stripes": lambda y, x: x // 3 % 2 * 255,
+    "checkerboard": lambda y, x: (x + y) % 2 * 255,
+    "ramps": lambda y, x: (7 * x + 3 * y) % 256,
+}
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+@pytest.mark.parametrize("pattern", sorted(_SMOOTH_PATTERNS))
+def test_smooth_is_exactly_the_separable_sum_on_extreme_images(monkeypatch, cpus, pattern):
+    # sums at the ends of the 0..255 range, exact halves of a flat field, the
+    # carry-over between blocks and bands, and empty bands (3 CPUs, 33 rows)
+    if cpus > 1:
+        force_bands(monkeypatch, cpus)
+    for height, width in ((31, 1), (32, 2), (33, 40), (97, 1), (97, 37)):
+        y, x = np.indices((height, width))
+        values = _SMOOTH_PATTERNS[pattern](y, x).astype(np.uint8)
+        for tenths in range(10, 31):
+            ours = smooth(_gray(values), CannyParams(tenths, 0, 255))
+            expected = oracles.smooth_separable_reference(values, _KERNELS[tenths])
+            assert np.array_equal(ours.values, expected), (height, width, tenths)
+
+
+@pytest.mark.parametrize("chunk", [canny._TIE_CHUNK, 3])
+def test_smooth_redoes_the_pixels_float32_would_round_differently(monkeypatch, chunk):
+    # on this seeded noise the plain float32 sums round four pixels the other
+    # way; smooth must still give the float64 definition on every pixel, also
+    # when it fixes its ties a few at a time, block by block
+    monkeypatch.setattr(canny, "_TIE_CHUNK", chunk)
+    values = np.random.default_rng(8).integers(0, 256, (256, 256), dtype=np.uint8)
+    kernel = _KERNELS[30]
+    expected = oracles.smooth_separable_reference(values, kernel)
+    fast = oracles.separable_sums(values, kernel.astype(np.float32))
+    assert fast.dtype == np.float32
+    assert np.count_nonzero((fast + np.float32(0.5)).astype(np.uint8) != expected) >= 1
+    assert np.array_equal(smooth(_gray(values), CannyParams(30, 0, 255)).values, expected)
+
+
+@pytest.mark.parametrize("tenths", range(10, 31))
+def test_smooth_float32_error_is_well_inside_the_tie_band(tenths):
+    # smooth proves the float32 sums within 6.3e-4 of the float64 ones; the
+    # errors met on noise and on two-level images sit far below even that
+    rng = np.random.default_rng(tenths)
+    kernel = _KERNELS[tenths]
+    for values in (rng.integers(0, 256, (96, 96), dtype=np.uint8),
+                   rng.integers(0, 2, (96, 96), dtype=np.uint8) * np.uint8(255)):
+        exact = oracles.separable_sums(values, kernel)
+        fast = oracles.separable_sums(values, kernel.astype(np.float32))
+        assert np.abs(fast - exact).max() < _TIE / 4
 
 
 def test_smooth_ramp_against_reference():
