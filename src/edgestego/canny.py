@@ -5,25 +5,27 @@ every stage is pinned down exactly. The Gaussian taps are a table of
 float64 literals, so no machine's ``exp`` computes them; floating point
 appears only in the smoothing sums (float64, taps added in a fixed order)
 and one correctly rounded IEEE square root per pixel, and IEEE fixes both.
-The smoothing evaluates its float64 sums in float32, within a proven
-6.3e-4, and gives a pixel whose float32 value lies within ``_TIE`` (2**-10)
-of a rounding tie the float64 expression itself, so the edge map is the
-same bit for bit whatever SIMD kernels numpy uses. The gray projection is
-integer arithmetic, directions are binned by integer tests and every stage
-rounds back to integers. The gray projection zeroes the three LSBs of every
-channel first, so the whole pipeline is invariant under any payload written
-into those bits. Every stage works on blocks of ``_BLOCK_ROWS`` rows,
-gathers included, so its temporaries stay in cache; no value depends on
-blocking. On images of two bands' worth of pixels or more
-(``_BAND_MIN_PIXELS`` each, so 2048 x 2048 and up), the smoothing and the
-Sobel pass split the rows into one band of whole blocks per CPU and run the
-bands on threads that live for the call only. Each pixel is still the same
-expression of the same inputs, so banding cannot change a bit. The masked
-gray and non-maximum suppression measured slower in bands and the gradient
-rescale waits for the global peak, so these stay on one thread. Only the
-hysteresis labelling spans the image. It labels just the weak pixels, since
-strong pixels are edges whatever their neighbours, and it labels their runs
-along the rows, not single pixels, with numpy alone.
+The smoothing evaluates its float64 sums in float32, as banded matrix
+products on numpy's BLAS, within a proven 6.3e-4 whatever order and FMA use
+the sgemm kernel has, and gives a pixel whose float32 value lies within
+``_TIE`` (2**-10) of a rounding tie the float64 expression itself, so the
+edge map is the same bit for bit whatever SIMD and BLAS kernels numpy uses.
+The gray projection is integer arithmetic, directions are binned by integer
+tests and every stage rounds back to integers. The gray projection zeroes
+the three LSBs of every channel first, so the whole pipeline is invariant
+under any payload written into those bits. Every stage works on blocks of
+``_BLOCK_ROWS`` rows, gathers included, so its temporaries stay in cache;
+no output value depends on blocking. On images of two bands' worth of
+pixels or more (``_BAND_MIN_PIXELS`` each, so 2048 x 2048 and up), the
+smoothing and the Sobel pass split the rows into one band of whole blocks
+per CPU and run the bands on threads that live for the call only. Each
+pixel is still the same expression of the same inputs, so banding cannot
+change a bit. The masked gray and non-maximum suppression measured slower
+in bands and the gradient rescale waits for the global peak, so these stay
+on one thread. Only the hysteresis labelling spans the image. It labels
+just the weak pixels, since strong pixels are edges whatever their
+neighbours, and it labels their runs along the rows, not single pixels,
+with numpy alone.
 """
 
 from __future__ import annotations
@@ -57,6 +59,11 @@ _LABEL_BLOCK_PIXELS = 2**18
 # sigma 3.0 a chunk's windows and sums take about 1.5 MB.
 _TIE = 2.0**-10
 _TIE_CHUNK = 2048
+# The smoothing's matrix products work on tiles of _TILE columns. Each is then
+# at most 50 x 50 x 32, below OpenBLAS's threading threshold, so it runs on the
+# calling thread and never competes with the row bands (16, 48 and 64 columns
+# measured no faster).
+_TILE = 32
 
 
 @dataclass(frozen=True)
@@ -244,6 +251,15 @@ def _fix_ties(padded: np.ndarray, kernel: np.ndarray, ties: np.ndarray, out: np.
         pixels[index] = sums  # the cast truncates: round half up
 
 
+def _banded(taps: np.ndarray, n: int) -> np.ndarray:
+    """The (n + span) x n matrix whose column i holds ``taps`` from row i on."""
+    matrix = np.zeros((n + len(taps) - 1, n), dtype=taps.dtype)
+    i = np.arange(n)
+    for t, tap in enumerate(taps):
+        matrix[i + t, i] = tap
+    return matrix
+
+
 def smooth(gray: GrayImage, params: CannyParams) -> GrayImage:
     """Separable Gaussian blur: horizontal pass, vertical pass, round to 8 bits.
 
@@ -254,22 +270,38 @@ def smooth(gray: GrayImage, params: CannyParams) -> GrayImage:
     floating-point filter in the sense of Shewchuk (Adaptive Precision
     Floating-Point Arithmetic and Fast Robust Geometric Predicates, DCG 1997).
 
-    Each float32 pass sums at most 19 products of a tap and a value in
-    0..255, with taps that sum to 1. Rounding the taps, the products and
-    the partial sums costs at most 20 units of 2**-24 relative to that
-    sum (the gamma_n bound of Higham, Accuracy and Stability of Numerical
-    Algorithms, 2002, sections 3-4), so each pass errs by at most
-    20 * 2**-24 * 255 = 3.0e-4 against exact arithmetic on the float64
-    taps, and both passes by 6.1e-4, since the vertical pass's taps also
-    sum to 1 and carry the horizontal error through unscaled. The float64
-    sums err by about 1e-12 and the float32 ``+ 0.5`` by at most 2**-16, so
-    the two values differ by less than 6.3e-4, below ``_TIE`` = 2**-10
-    (9.8e-4). A float32 value at least ``_TIE`` from every integer after the
-    ``+ 0.5`` therefore truncates as the float64 one does; the rest, about
-    0.2% of the pixels of smooth or noisy covers, are recomputed. The edge
-    map stays bit-identical whatever SIMD kernels numpy uses for float32.
-    Columns alternating between two adjacent levels put every pixel near a
-    tie at sigma 3.0, and there smoothing takes about 25 times as long.
+    Each float32 pass is a product with a banded matrix of the taps, run by
+    numpy's BLAS on tiles of ``_TILE`` columns: the horizontal pass multiplies
+    each tile's rows by ``_banded(taps, _TILE)``, the vertical pass the
+    block's ``_banded(taps, _BLOCK_ROWS).T`` by each tile of row sums. The
+    sgemm kernel may add its products in any order, in any tree, with or
+    without FMA. Its bound holds for all of them:
+
+    1. A product with a zero tap is exactly 0, and adding 0, or an FMA whose
+       product is 0, is exact. So every output is a sum of at most 19
+       non-zero, non-negative products of a tap and a value in 0..255, with
+       taps that sum to 1, evaluated in some tree. This needs every value
+       a zero tap meets to be finite (0 * NaN is NaN), so the spare columns
+       of ``source`` past the padded image are zeros.
+    2. Rounding the taps, the products and the partial sums of such a sum
+       costs at most gamma_20 = 20 units of 2**-24 relative to it, whatever
+       the order (Higham, Accuracy and Stability of Numerical Algorithms,
+       2002, sections 3.1 and 4.2), so each pass errs by at most
+       20 * 2**-24 * 255 = 3.0e-4 against exact arithmetic on the float64
+       taps, and both passes by 6.1e-4, since the vertical pass's taps also
+       sum to 1 and carry the horizontal error through unscaled.
+    3. The float64 sums err by about 1e-12 and the float32 ``+ 0.5`` by at
+       most 2**-16, so the two values differ by less than 6.3e-4, below
+       ``_TIE`` = 2**-10 (9.8e-4). A float32 value at least ``_TIE`` from
+       every integer after the ``+ 0.5`` therefore truncates as the float64
+       one does; the rest, about 0.2% of the pixels of smooth or noisy
+       covers, are recomputed.
+
+    The result depends on that bound alone, not on the BLAS kernel, so the
+    edge map stays bit-identical whatever kernels numpy and OpenBLAS pick for
+    the CPU. Columns alternating between two adjacent levels put every pixel
+    near a tie at sigma 3.0, and there smoothing takes about 75 times as long
+    as on a photo-like cover.
 
     ``rows`` holds the horizontal sums a block's vertical pass reads; the
     last 2*radius of them carry over to the next block of the same band,
@@ -279,24 +311,30 @@ def smooth(gray: GrayImage, params: CannyParams) -> GrayImage:
     kernel = _KERNELS[params.sigma_tenths]
     taps = kernel.astype(np.float32)
     span, width = len(kernel) - 1, gray.width
+    cols = -(-width // _TILE) * _TILE
+    across, down = _banded(taps, _TILE), _banded(taps, _BLOCK_ROWS).T
     padded = np.pad(gray.values, span // 2, mode="edge")
     out = np.empty((gray.height, width), dtype=np.uint8)
 
     def band(b0: int, b1: int):
-        source = np.empty((_BLOCK_ROWS + span, width + span), dtype=np.float32)
-        rows, tmp = np.empty((2, _BLOCK_ROWS + span, width), dtype=np.float32)
-        acc = np.empty((_BLOCK_ROWS, width), dtype=np.float32)
+        source = np.zeros((_BLOCK_ROWS + span, cols + span), dtype=np.float32)
+        rows = np.empty((_BLOCK_ROWS + span, cols), dtype=np.float32)
+        acc = np.empty((_BLOCK_ROWS, cols), dtype=np.float32)
+        # the same buffers as stacks of tiles, made once: a view per block
+        # would leave a few KB of freed Python objects on the free lists
+        windows = np.lib.stride_tricks.sliding_window_view(source, _TILE + span, axis=1)
+        windows = windows[:, ::_TILE].swapaxes(0, 1)
+        row_tiles, acc_tiles = (a.reshape(len(a), -1, _TILE).swapaxes(0, 1) for a in (rows, acc))
         ties, pending = [], 0
         for y0, y1 in _row_blocks(b0, b1):
             n, done = y1 - y0, span if y0 > b0 else 0
             # overlap with the full block before
             rows[:done] = rows[_BLOCK_ROWS : _BLOCK_ROWS + done]
-            src = source[: n + span - done]
-            src[...] = padded[y0 + done : y1 + span]
-            _correlate(lambda t: src[:, t : t + width], taps, rows[done : n + span],
-                       tmp[: len(src)])
-            block = acc[:n]
-            _correlate(lambda t: rows[t : t + n], taps, block, tmp[:n])
+            m = n + span - done
+            source[:m, : width + span] = padded[y0 + done : y1 + span]
+            np.matmul(windows[:, :m], across, out=row_tiles[:, done : n + span])
+            np.matmul(down[:n, : n + span], row_tiles[:, : n + span], out=acc_tiles[:, :n])
+            block = acc[:n, :width]
             # taps > 0 summing to 1 keep this in [0.5, 255.5 + 1e-3]: the cast rounds, no clip
             block += 0.5
             out[y0:y1] = block

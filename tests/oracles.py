@@ -72,6 +72,29 @@ def separable_sums(values, kernel):
     return _correlate1d_clamped(acc, kernel, axis=0)
 
 
+def _banded(kernel, n):
+    """The (n + 2 * radius) x n matrix whose column i holds the taps from row i on."""
+    matrix = np.zeros((n + len(kernel) - 1, n), dtype=kernel.dtype)
+    for i in range(n):
+        matrix[i : i + len(kernel), i] = kernel
+    return matrix
+
+
+def matmul_sums(values, kernel):
+    """The smoothing sums as one banded matrix product per pass, whole image at once.
+
+    The image is edge-padded by the radius; the horizontal pass multiplies
+    it by a matrix with the taps down its diagonals, the vertical pass
+    multiplies the transposed matrix by the row sums. Whatever BLAS kernel
+    numpy uses adds the products in its own order, over the full width and
+    height: a blocking unlike the detector's. With float32 taps this is
+    another float32 evaluation of the same expression.
+    """
+    height, width = values.shape
+    padded = np.pad(values, len(kernel) // 2, mode="edge").astype(kernel.dtype)
+    return _banded(kernel, height).T @ (padded @ _banded(kernel, width))
+
+
 def smooth_separable_reference(values, kernel):
     """The detector's smoothing written out plainly: an exact reference.
 

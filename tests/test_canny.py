@@ -18,6 +18,7 @@ from edgestego.canny import (
     _BLOCK_ROWS as _BLOCK,
     _KERNELS,
     _TIE,
+    _TILE,
     _direction_bins,
     _in_bands,
     gradients,
@@ -149,12 +150,13 @@ def test_smooth_matches_direct_convolution():
 @pytest.mark.parametrize("tenths", range(10, 31))
 def test_smooth_is_exactly_the_separable_sum(tenths):
     # The detector is the shared secret, so smoothing must reproduce the
-    # separable sum byte for byte, also across the row blocks it works in:
-    # heights below the radius, around one block and past two blocks.
+    # separable sum byte for byte, also across the row blocks and column tiles
+    # it works in: heights below the radius, around one block and past two
+    # blocks; widths around one and two tiles.
     rng = np.random.default_rng(tenths)
     kernel = _KERNELS[tenths]
     for height in (1, 2, 8, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3):
-        for width in (1, 5, 300):
+        for width in (1, 5, _TILE - 1, _TILE, _TILE + 1, 2 * _TILE, 2 * _TILE + 1, 300):
             values = rng.integers(0, 256, (height, width), dtype=np.uint8)
             ours = smooth(_gray(values), CannyParams(tenths, 0, 255))
             expected = oracles.smooth_separable_reference(values, kernel)
@@ -191,29 +193,33 @@ def test_smooth_is_exactly_the_separable_sum_on_extreme_images(monkeypatch, cpus
 @pytest.mark.parametrize("chunk", [canny._TIE_CHUNK, 3])
 def test_smooth_redoes_the_pixels_float32_would_round_differently(monkeypatch, chunk):
     # on this seeded noise the plain float32 sums round four pixels the other
-    # way; smooth must still give the float64 definition on every pixel, also
-    # when it fixes its ties a few at a time, block by block
+    # way, and the float32 banded matrix products three; smooth must still give
+    # the float64 definition on every pixel, also when it fixes its ties a few
+    # at a time, block by block
     monkeypatch.setattr(canny, "_TIE_CHUNK", chunk)
     values = np.random.default_rng(8).integers(0, 256, (256, 256), dtype=np.uint8)
     kernel = _KERNELS[30]
     expected = oracles.smooth_separable_reference(values, kernel)
-    fast = oracles.separable_sums(values, kernel.astype(np.float32))
-    assert fast.dtype == np.float32
-    assert np.count_nonzero((fast + np.float32(0.5)).astype(np.uint8) != expected) >= 1
+    for sums in (oracles.separable_sums, oracles.matmul_sums):
+        fast = sums(values, kernel.astype(np.float32))
+        assert fast.dtype == np.float32
+        assert np.count_nonzero((fast + np.float32(0.5)).astype(np.uint8) != expected) >= 1
     assert np.array_equal(smooth(_gray(values), CannyParams(30, 0, 255)).values, expected)
 
 
 @pytest.mark.parametrize("tenths", range(10, 31))
 def test_smooth_float32_error_is_well_inside_the_tie_band(tenths):
-    # smooth proves the float32 sums within 6.3e-4 of the float64 ones; the
-    # errors met on noise and on two-level images sit far below even that
+    # smooth proves the float32 sums within 6.3e-4 of the float64 ones in any
+    # order of evaluation; the errors met on noise and on two-level images, in
+    # tap order and as whole-image banded matrix products, sit far below that
     rng = np.random.default_rng(tenths)
     kernel = _KERNELS[tenths]
     for values in (rng.integers(0, 256, (96, 96), dtype=np.uint8),
                    rng.integers(0, 2, (96, 96), dtype=np.uint8) * np.uint8(255)):
         exact = oracles.separable_sums(values, kernel)
-        fast = oracles.separable_sums(values, kernel.astype(np.float32))
-        assert np.abs(fast - exact).max() < _TIE / 4
+        for sums in (oracles.separable_sums, oracles.matmul_sums):
+            fast = sums(values, kernel.astype(np.float32))
+            assert np.abs(fast - exact).max() < _TIE / 4
 
 
 def test_smooth_ramp_against_reference():

@@ -9,12 +9,14 @@ detector's row block; all of these again with the detector's stages forced
 into parallel row bands; the digests of the Gaussian taps for every sigma; and
 a committed carrier file that must keep extracting to its payload. A
 refactor must leave every digest unchanged. The last test runs all of this
-again with numpy's SIMD kernels switched off, as a stand-in for a receiver
-on another CPU, together with the smoothing tests of ``test_canny.py``.
+again with numpy's SIMD kernels switched off and OpenBLAS on its generic
+sgemm kernel, as a stand-in for a receiver on another CPU, together with
+the smoothing tests of ``test_canny.py``.
 """
 
 import hashlib
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
@@ -190,12 +192,16 @@ def test_committed_carrier_extracts_its_payload():
 
 
 def test_known_answers_hold_without_numpy_simd_kernels():
-    # numpy picks its SIMD kernels by CPU at import; switch off every target this
-    # build dispatches to, and the rest of this module must still pass unchanged,
-    # and so must the smoothing tests, whose float32 sums run on loops of their own
+    # numpy picks its SIMD kernels by CPU at import, and OpenBLAS its sgemm
+    # kernel; switch off every SIMD target this build dispatches to and force
+    # OpenBLAS's generic kernel for the CPU family, and the rest of this module
+    # must still pass unchanged, and so must the smoothing tests, whose float32
+    # sums run on loops and BLAS products of their own
     from numpy._core._multiarray_umath import __cpu_dispatch__
 
-    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(__cpu_dispatch__))
+    coretype = "ARMV8" if platform.machine().lower() in ("arm64", "aarch64") else "Prescott"
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(__cpu_dispatch__),
+               OPENBLAS_CORETYPE=coretype)
     child = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", __file__,
          str(Path(__file__).with_name("test_canny.py")), "-k",
