@@ -25,7 +25,8 @@ in bands and the gradient rescale waits for the global peak, so these stay
 on one thread. Only the hysteresis labelling spans the image. It labels
 just the weak pixels, since strong pixels are edges whatever their
 neighbours, and it labels their runs along the rows, not single pixels,
-with numpy alone.
+with numpy alone: a run's parent is the first run above that touches it,
+and the other runs above that touch it are merge pairs.
 """
 
 from __future__ import annotations
@@ -459,52 +460,51 @@ def _weak_rows(thinned: np.ndarray, r0: int, r1: int, params: CannyParams,
 
 
 def _scan_runs(thinned: np.ndarray, params: CannyParams, rows: int):
-    """Find the weak runs ``rows`` rows at a time and join them into segments.
+    """Find the weak runs ``rows`` rows at a time and which of them are kept.
 
-    A segment is a chain of runs in one row, each joined to the next by a run
-    above or below that touches both. Its parent is the segment of the first
-    run above that touches it, and the other links to runs above are merges.
+    Runs are numbered in row-major order over the image. A run's parent is
+    the first run above that touches it (itself if none does); every other
+    run above that touches it is a merge, which ``_roots`` joins. A run is
+    kept when its tree holds a run with a strong pixel in reach.
 
-    Returns per block with runs ``(y0, first segment, head, bounds)``, where
-    ``head`` marks each run that starts a segment and ``bounds`` holds each
-    run's start and end (one past its last pixel) on a grid of the block's
-    rows, one column wider than the image; then, in per-block parts, the
-    parent and the seeded flag of every segment and the two ends of every
-    merge.
+    Returns per block with runs ``(y0, first run, bounds)``, where ``bounds``
+    holds each run's start and end (one past its last pixel) on a grid of the
+    block's rows, one column wider than the image, and the kept flag of every
+    run (None if there is no run).
     """
     height, width = thinned.shape
     rows = min(rows, height)
     weak_buf, near_buf = np.zeros((2, (rows + 2) * (width + 1) + 2), dtype=bool)
     buffers = weak_buf, near_buf, np.empty((rows + 2, width), dtype=bool)
-    blocks, parents, seeds, merged_above, merged_below = [], [], [], [], []
-    n_segments = 0
-    # links from the last row of the block before, as (segment, index of a run here)
-    carried = np.zeros((2, 0), dtype=np.int32)
+    blocks, forest, n_runs = [], [], 0
     for y0 in range(0, height, rows):
         # one call per block, so a block's temporaries are freed before the next
-        found = _scan_block(thinned, params, y0, min(y0 + rows, height), buffers,
-                            n_segments, carried)
+        found = _scan_block(thinned, params, y0, min(y0 + rows, height), buffers, n_runs)
         if found is None:
             continue
-        head, bounds, parent, seeded, (above, below), carried = found
-        blocks.append((y0, n_segments, head, bounds))
-        parents.append(parent)
-        seeds.append(seeded)
-        merged_above.append(above)
-        merged_below.append(below)
-        n_segments += len(parent)
-    return blocks, parents, seeds, merged_above, merged_below
+        bounds, part = found
+        blocks.append((y0, n_runs, bounds))
+        forest.append(part)
+        n_runs += len(part[0])
+    if not blocks:
+        return blocks, None
+    parents, seeds, above, below = map(list, zip(*forest))
+    del forest  # so that _whole frees each part once it is concatenated
+    root = _roots(_whole(parents), _whole(above), _whole(below))
+    keep = np.zeros(n_runs, dtype=bool)
+    keep[root[_whole(seeds)]] = True
+    return blocks, keep[root]
 
 
 def _scan_block(thinned: np.ndarray, params: CannyParams, y0: int, y1: int, buffers,
-                n_segments: int, carried: np.ndarray):
-    """The runs of rows y0..y1-1, as ``_scan_runs`` returns them, or None if none.
+                n_runs: int):
+    """Rows y0..y1-1's runs as (bounds, (parent, seeded, merge ends)), or None if none.
 
     The block is laid out with the row on either side. The runs that each run
-    touches in the next row down and up are a range of run ranks, read from
-    the rank of every grid position; 8-connected, they reach from the column
-    before the run to the one after it. Also returns the links from the
-    block's last row to the next block.
+    touches in the row above are a range of run ranks, read from the rank of
+    every grid position; 8-connected, they reach from the column before the
+    run to the one after it. Runs are numbered from ``n_runs``, and the row
+    above's runs are the last numbered before it, so no state crosses a seam.
     """
     height, width = thinned.shape
     stride, n = width + 1, y1 - y0
@@ -520,9 +520,7 @@ def _scan_block(thinned: np.ndarray, params: CannyParams, y0: int, y1: int, buff
     rank = np.repeat(np.arange(len(bounds) + 1, dtype=np.int32),
                      np.diff(bounds, prepend=-1, append=len(flat) - 1))
     start, end = bounds[i0:i1:2], bounds[i0 + 1 : i1 : 2]
-    down_lo = rank[start + stride] >> 1  # touched runs below: [down_lo, down_hi)
-    down_hi = (rank[end + (stride + 1)] + 1) >> 1
-    up_lo = rank[start - stride] >> 1
+    up_lo = rank[start - stride] >> 1  # touched runs above: [up_lo, up_hi)
     up_hi = (rank[end + (1 - stride)] + 1) >> 1
     # seeds: runs holding a weak pixel with a strong pixel in its 3x3 window
     a, b = max(y0 - 1, 0), min(y1 + 1, height)
@@ -537,38 +535,22 @@ def _scan_block(thinned: np.ndarray, params: CannyParams, y0: int, y1: int, buff
     touch = near[:-2] | near[2:]
     touch |= near[1:-1]
     touch &= flat[1 + stride : 1 + (n + 1) * stride]
-    seed_runs = (rank[np.flatnonzero(touch) + stride] >> 1) - i0 // 2
+    seeded = np.zeros(len(start), dtype=bool)
+    seeded[(rank[np.flatnonzero(touch) + stride] >> 1) - i0 // 2] = True
     del rank, touch  # the block's largest temporaries; the rest is per run
-    # a run joins the segment of the run before it when both touch one run above
-    # or below; the first run of each group touching the same runs below links down
-    head = np.empty(len(start), dtype=bool)
-    head[0] = True
-    np.greater_equal(down_lo[1:], down_hi[:-1], out=head[1:])
-    link = down_lo < down_hi
-    link[1:] &= head[1:]
-    head[1:] &= up_lo[1:] >= up_hi[:-1]
-    segment = np.cumsum(head, dtype=np.int32)
-    segment += n_segments - 1
-    above, below = segment[link], down_lo[link] - i0 // 2
-    # links from the last row reach the runs of the next block
-    here = int(np.searchsorted(below, len(start)))
-    above_all = np.concatenate((carried[0], above[:here]))
-    below_all = segment[np.concatenate((carried[1], below[:here]))]
-    carried = np.stack((above[here:], below[here:] - len(start)))
-    # below_all is sorted: the first link into a segment names its parent
-    first = np.empty(len(below_all), dtype=bool)
-    first[:1] = True
-    np.not_equal(below_all[1:], below_all[:-1], out=first[1:])
-    parent = np.arange(n_segments, segment[-1] + 1, dtype=np.int32)
-    parent[below_all[first] - n_segments] = above_all[first]
-    first = ~first
-    merge = above_all[first], below_all[first]
-    seeded = np.zeros(len(parent), dtype=bool)
-    seeded[segment[seed_runs] - n_segments] = True
+    # the number of rank r's run is r + first
+    first = n_runs - i0 // 2
+    run = np.arange(n_runs, n_runs + len(start), dtype=np.int32)
+    parent = np.where(up_lo < up_hi, up_lo + first, run)
+    # each run above after the first that a run touches is one merge
+    count = np.maximum(up_hi - up_lo - 1, 0)
+    below = np.repeat(run, count)
+    above = np.repeat(up_lo + (first + 1) - (np.cumsum(count, dtype=np.int32) - count), count)
+    above += np.arange(len(above), dtype=np.int32)
     # on a grid of the block's own rows, kept until the paint in the smallest
     # type that holds a position there
     bounds = (bounds[i0:i1] - stride).astype(np.min_scalar_type(n * stride))
-    return head, bounds, parent, seeded, merge, carried
+    return bounds, (parent, seeded, above, below)
 
 
 def _whole(parts: list) -> np.ndarray:
@@ -582,32 +564,33 @@ def _roots(parent: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The root of every node of a forest once nodes a[i] and b[i] are joined.
 
     No node's parent is larger than the node, so the root of a joined
-    component is its smallest node.
+    component is its smallest node. Hooking touches only the pairs and their
+    roots; the whole forest is jumped to its roots before and after.
     """
-    while True:  # pointer jumping, until every node points at its root
-        up = parent[parent]
-        if np.array_equal(up, parent):
-            break
-        parent = up
     while True:
-        a, b = parent[a], parent[b]
-        apart = a != b
-        if not apart.any():
-            return parent
-        a, b = a[apart], b[apart]
-        # hook each larger root under the smaller one; where several pairs hook
-        # one root a single write lands, and the rest hook in a later round
-        hooked = np.maximum(a, b)
-        parent[hooked] = np.minimum(a, b)
-        # hooks onto hooked roots make chains, which only hooked roots climb:
-        # jump those to their roots, and every node is one step from its root
-        top = parent[hooked]
-        while True:
-            up = parent[top]
-            if np.array_equal(up, top):
+        while True:  # pointer jumping, until every node points at its root
+            up = parent[parent]
+            if np.array_equal(up, parent):
                 break
-            parent[hooked] = top = up
-        parent = parent[parent]
+            parent = up
+        if not len(a):
+            return parent
+        while len(a):
+            a, b = parent[a], parent[b]
+            apart = a != b
+            a, b = a[apart], b[apart]
+            # hook each larger root under the smaller one; where several pairs hook
+            # one root a single write lands, and the rest hook in a later round
+            hooked = np.maximum(a, b)
+            parent[hooked] = np.minimum(a, b)
+            # hooks onto hooked roots make chains: jump the hooked roots to their
+            # roots, so that the pairs' ends are roots again in the next round
+            top = parent[hooked]
+            while True:
+                up = parent[top]
+                if np.array_equal(up, top):
+                    break
+                parent[hooked] = top = up
 
 
 def hysteresis(thinned: np.ndarray, params: CannyParams) -> EdgeMap:
@@ -623,27 +606,19 @@ def hysteresis(thinned: np.ndarray, params: CannyParams) -> EdgeMap:
 
     The labelling works on the runs of weak pixels in each row (He, Chao and
     Suzuki, "A run-based two-scan labeling algorithm", IEEE TIP 2008):
-    ``_scan_runs`` finds them a block of rows at a time and joins the runs of
-    one row that meet through a neighbouring row into segments, and
-    ``_roots`` joins the segments by hooking and pointer jumping (Shiloach and
-    Vishkin, J. Algorithms 1982). The kept runs are painted onto the strong
-    mask.
+    ``_scan_runs`` finds them a block of rows at a time and hangs each run
+    under the first run above that touches it (Wu, Otoo and Suzuki, PAA
+    2009); the other runs above that touch it are merge pairs, which
+    ``_roots`` joins by hooking and pointer jumping (Shiloach and Vishkin,
+    J. Algorithms 1982). The kept runs are painted onto the strong mask.
     """
     height, width = thinned.shape
     rows = max(_BLOCK_ROWS, min(-(-height // _LABEL_BLOCKS), _LABEL_BLOCK_PIXELS // width))
-    blocks, parents, seeds, above, below = _scan_runs(thinned, params, rows)
-    if blocks:
-        root = _roots(_whole(parents), _whole(above), _whole(below))
-        keep = np.zeros(len(root), dtype=bool)
-        keep[root[_whole(seeds)]] = True
-        keep = keep[root]
-        del root
+    blocks, keep = _scan_runs(thinned, params, rows)
     edges = thinned >= params.high_threshold
     pixels = edges.reshape(-1)
-    for y0, n_before, head, bounds in blocks:
-        segment = np.cumsum(head, dtype=np.int32)
-        segment += n_before - 1
-        kept = keep[segment]
+    for y0, first, bounds in blocks:
+        kept = keep[first : first + len(bounds) // 2]
         if not kept.any():
             continue
         # int32 holds any index within a block

@@ -492,13 +492,22 @@ def _photo_like(rng, n):
     return np.clip(pixels, 0, 255).astype(np.uint8)
 
 
-@pytest.mark.parametrize("kind", ["noise", "photo"])
+@pytest.mark.parametrize("kind", ["noise", "photo", "comb", "diagonals"])
 def test_hysteresis_matches_dense_labelling_on_large_maps(kind):
     rng = np.random.default_rng(8)
-    pixels = (rng.integers(0, 256, (512, 512, 3), dtype=np.uint8) if kind == "noise"
-              else _photo_like(rng, 512))
-    gray = to_masked_gray(RgbImage(pixels))
-    thinned = non_max_suppression(*gradients(smooth(gray, CannyParams(15, 5, 40))))
+    if kind in ("comb", "diagonals"):
+        # weak chains 512 rows long, seeded at one corner, across every label-block
+        # seam: a 1-px vertical comb joined along its bottom row, or diagonals
+        # in every third column
+        yy, xx = np.mgrid[0:512, 0:512]
+        weak = (xx % 2 == 0) | (yy == 511) if kind == "comb" else (xx + yy) % 3 == 0
+        thinned = np.where(weak, 30, 0).astype(np.uint8)
+        thinned[0, 0] = 255
+    else:
+        pixels = (rng.integers(0, 256, (512, 512, 3), dtype=np.uint8) if kind == "noise"
+                  else _photo_like(rng, 512))
+        gray = to_masked_gray(RgbImage(pixels))
+        thinned = non_max_suppression(*gradients(smooth(gray, CannyParams(15, 5, 40))))
     for low, high in ((5, 40), (20, 60), (0, 255), (1, 255), (40, 40)):
         edges = hysteresis(thinned, CannyParams(15, low, high))
         assert np.array_equal(

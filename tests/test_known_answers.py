@@ -5,9 +5,12 @@ change that moves carriers consistently. These digests can: two seeded
 covers crossed with the acceptance suite's four parameter sets, each with
 the digest of its packed edge map and of ``write_bmp(embed(...))`` for a
 fixed payload; two taller covers whose heights are not a multiple of the
-detector's row block; all of these again with the detector's stages forced
-into parallel row bands; the digests of the Gaussian taps for every sigma; and
-a committed carrier file that must keep extracting to its payload. A
+detector's row block; for each of these, the digest of every stage's
+output, recorded from the references in ``oracles.py`` and checked in
+pipeline order, so that a failure names the first stage that diverged; all
+of these again with the detector's stages forced into parallel row bands;
+the digests of the Gaussian taps for every sigma; and a committed carrier
+file that must keep extracting to its payload. A
 refactor must leave every digest unchanged. The last test runs all of this
 again with numpy's SIMD kernels switched off and OpenBLAS on its generic
 sgemm kernel, as a stand-in for a receiver on another CPU, together with
@@ -25,9 +28,11 @@ import numpy as np
 import pytest
 
 from edgestego import CannyParams, RgbImage, detect_edges, embed, extract, read_bmp, write_bmp
-from edgestego.canny import _KERNELS
+from edgestego.canny import (_KERNELS, gradients, hysteresis, non_max_suppression, smooth,
+                             to_masked_gray)
 from helpers import force_bands
 from test_acceptance import PARAM_SETS
+import oracles
 
 PAYLOAD = bytes(range(200))  # fits every cover/params pair below
 
@@ -92,6 +97,7 @@ def _digests(cover, params):
 
 @pytest.mark.parametrize("seed,index", sorted(VECTORS))
 def test_known_answer(seed, index):
+    _assert_stages((seed, index))
     assert _digests(_cover(seed), PARAM_SETS[index]) == VECTORS[seed, index]
 
 
@@ -131,6 +137,7 @@ def _tall_cover(width, height):
 
 @pytest.mark.parametrize("width,height,tenths", sorted(TALL_VECTORS))
 def test_known_answer_across_row_blocks(width, height, tenths):
+    _assert_stages((width, height, tenths))
     cover, params = _tall_cover(width, height), CannyParams(tenths, 5, 40)
     assert _digests(cover, params) == TALL_VECTORS[width, height, tenths]
 
@@ -141,9 +148,157 @@ def test_known_answers_hold_in_forced_bands(monkeypatch, cpus):
     # gets a band that ends mid-block
     force_bands(monkeypatch, cpus)
     for (seed, index), digests in VECTORS.items():
+        _assert_stages((seed, index))
         assert _digests(_cover(seed), PARAM_SETS[index]) == digests
     for (width, height, tenths), digests in TALL_VECTORS.items():
+        _assert_stages((width, height, tenths))
         assert _digests(_tall_cover(width, height), CannyParams(tenths, 5, 40)) == digests
+
+
+# Per-stage known answers for the same covers and parameters: the SHA-256 of
+# each stage's output, recorded from the brute-force references in oracles.py,
+# not from the package. The tests above check them first, in pipeline order,
+# so that a wrong edge map is reported as the first stage that diverged.
+STAGES = ("masked gray", "smoothed", "magnitude and direction", "thinned", "edges")
+
+# VECTORS or TALL_VECTORS key -> the digest of each of STAGES
+STAGE_DIGESTS = {
+    (1, 0): (
+        "fa79b4303ea0a2b557993fd3d496b20c9d578ecf2bc49690e507fa0c81e29377",
+        "bb41d3c58689b0f3b39ae443bb9d67a6e77e5df7da93c0cd5ddc8e94df978a12",
+        "8787e1d1dace798e1f1e9415b255450f92611ce7956b1fddd1e6629f5113f4e0",
+        "a9f7c1c4946d66834ab525dd2fa16806d401d1dafb7bd0ada2d75f558d4928e2",
+        "a9857358e1fec349c434ba98e0f07b8dc5f611a48bb9e8fa08c0e08c1ab80062",
+    ),
+    (1, 1): (
+        "fa79b4303ea0a2b557993fd3d496b20c9d578ecf2bc49690e507fa0c81e29377",
+        "b9598e3ebe6ce1bd0d1d2dc6959d77a22fb09fa411e245bb9ced6619fbd0efb9",
+        "6db69803398168fe0d1c241455f2e95a31e9985e2ad899b93cdd25929ca24211",
+        "c0e6f5d9687d3a239f23b199528a6a2e79b9207171fed4448191a86e8c76d8ea",
+        "34dcc1a7d3ef983cfb0ad8b47a18d8c5d95a59f3b552f895443d14c95ffd048b",
+    ),
+    (1, 2): (
+        "fa79b4303ea0a2b557993fd3d496b20c9d578ecf2bc49690e507fa0c81e29377",
+        "973efa73cb123a5a17dce803af52f6c78403afc57c2c045aebe82c6c5e21ad71",
+        "59651e0ff3bbb4513e43855e7219742b727db99d0558a7ad4f64ea866d62e65d",
+        "5f7deeedbcde198db1fdafdcdb13f48a84f5ef0ac8ada09b6059e67eaf062f2f",
+        "bd4c98197208ded216b2222a10f239f6d3bff0d1e385a5a04fbc0697364c0cdf",
+    ),
+    (1, 3): (
+        "fa79b4303ea0a2b557993fd3d496b20c9d578ecf2bc49690e507fa0c81e29377",
+        "999c513eb073fe6aeef2674863c305aff5473d922b4ddc42bff0655c56373268",
+        "f2dc805610c086def8f02bacbd02fbe7e493848cb9a5e7cdc232a939165a3b03",
+        "67868f718a30489f81f8727c76c9640dc464d89489a47e7a97235b03397b5cbf",
+        "a292bc4a1d8d3caa7dd32d1858f7d642a27373526b84cde7df8634faad708d2a",
+    ),
+    (2, 0): (
+        "4a17f270c783dc1be7b68a41385c7631a6be0548badacff928eaea4eb00a7f5c",
+        "165b7692e9fb0ee0c6fc71ccd78984e9faf003b774d79aaea420ac72fa4a6e76",
+        "dfcfd6f1398080e7639aff04019f782e703e28669b2778a8ce556dece4c70f96",
+        "edd96870aae044bdf7e8746af10ae6e5da3855d675220df5a692e750fc5af5fc",
+        "dab9d8c9330ff23a3ca39aef1a2813df4cd077907528dbf9d0f6cfe26d27cdd4",
+    ),
+    (2, 1): (
+        "4a17f270c783dc1be7b68a41385c7631a6be0548badacff928eaea4eb00a7f5c",
+        "cf4aae154ee7a96ea98cfa57318030551f671d4a42588558691167129ef571df",
+        "77a76972e147d64f813c652c040a3c1c9c324f83fa1237c2e15114ac8dded37d",
+        "63c8038f5776aa4cfca41131a8f675434387c3f7f884a9c3fe563bf7684a4509",
+        "09fe13bbf5ec09ff2deb3d2df5f7e96849db2b6bbdb50d6ddf576a7bcf27f2e4",
+    ),
+    (2, 2): (
+        "4a17f270c783dc1be7b68a41385c7631a6be0548badacff928eaea4eb00a7f5c",
+        "cf90cc18a7b7db933524c3dd44c94354db1b913f95b134cdbe0286536dc2582f",
+        "d5cd36230a15628a70d0cc7e9efe8996c807db81927b3bc9be0d9ae1c644bc8e",
+        "5a38cbd3f00d37f4ab53d58a49d16518d159a1e9111f9c6fe15aa18b29d7b941",
+        "120177acff2ca0adbb92300b37306d4c319ced8a56641db8cbe39215d7e64e76",
+    ),
+    (2, 3): (
+        "4a17f270c783dc1be7b68a41385c7631a6be0548badacff928eaea4eb00a7f5c",
+        "fd068b454db32411135fe31d2c2af1b29490a5d1999cd26897778c5eadfc8f6d",
+        "ca7f5d713a0a3549c5f2a2a204111e027ff83136b2de66a4d5df17cc2e5b8519",
+        "6e0b4917e0895974a224fa011ab121e7341201431a3ad2ff8c97630e1d939574",
+        "a292bc4a1d8d3caa7dd32d1858f7d642a27373526b84cde7df8634faad708d2a",
+    ),
+    (157, 91, 10): (
+        "6330adfb5f55df13a4301096c8abbd1b55b2dafe0998221f4d9531134529c74c",
+        "99c9dd6123f4cca29afbe26c047525ebcf4edd159780c44d27b054cf7c082b53",
+        "c697c1719f19dbb1babf78ca8a1db7514f1843468eca305fd6047634d53ec59a",
+        "2dfcc3f9cc01f5ec5110cd295a226093b859ab678e0e136e92f0eea101ecd23a",
+        "a28b2fde08122fc5c9a9d61958f3de78ff88533f333b02a0f09db118181d1106",
+    ),
+    (157, 91, 30): (
+        "6330adfb5f55df13a4301096c8abbd1b55b2dafe0998221f4d9531134529c74c",
+        "e28b5b7988a5d49b5a9499dca378712c90a088020efb956bf147d56df4df2dbd",
+        "7e7b9f73202d3b30a95b8f7c15ed20f7096b49371f9ac5b68fc9d6a3328d213b",
+        "b4a26415ebdff0d08ce8052b35d2b0a18480a3888dcc158d4e180e3d6816885c",
+        "0e14947d0584408c91b03a891ec60378dc74218b27c8042e6dd3bfdcdbc60ac8",
+    ),
+    (300, 40, 10): (
+        "f360c3c2aaa2420607a817da318ba14aabbc9f6c87f2141d38367051cf1f0d9e",
+        "f888f14e12cbdd19f72a352d7553df2896d6aacfd6cdd2630d47bc3564c1727b",
+        "2bd81652fe388b8ae0d5ef74cacc8d246bd9b8b8e2d5c40def1616c9b851d2da",
+        "bad700a722c176af4e19a9762bce64bb191664b80da53e4286c83c9ba5494a74",
+        "fe7fd6ea3d850bd34431f855f27836dffa76cb68a8f92a7a38028627b48bd9ae",
+    ),
+    (300, 40, 30): (
+        "f360c3c2aaa2420607a817da318ba14aabbc9f6c87f2141d38367051cf1f0d9e",
+        "8b075cf9454572e8058acdffa5c298104dfd10ec00f767243b03a51515ebaf9f",
+        "8b0010cb49816518bdd96a6075f5006e54ed870342a7808538c28aba2df5e5eb",
+        "1e8b4d3fdd19d538775ebeeece93540ea0a9807013c032de761508053f4f726c",
+        "af13e84ecf13d8a0260f2e75c3b4ce70f68f147a4cefb73f8297408fe1b550d1",
+    ),
+}
+
+
+def _stage_input(key):
+    if len(key) == 2:
+        seed, index = key
+        return _cover(seed), PARAM_SETS[index]
+    width, height, tenths = key
+    return _tall_cover(width, height), CannyParams(tenths, 5, 40)
+
+
+def _stage_hashes(gray, smoothed, magnitude, direction, thinned, edges):
+    return tuple(_sha256(data) for data in (
+        gray.tobytes(), smoothed.tobytes(), magnitude.tobytes() + direction.tobytes(),
+        thinned.tobytes(), np.packbits(edges).tobytes()))
+
+
+def _stage_digests(cover, params):
+    """Each stage's digest as the package computes it."""
+    gray = to_masked_gray(cover)
+    smoothed = smooth(gray, params)
+    magnitude, direction = gradients(smoothed)
+    thinned = non_max_suppression(magnitude, direction)
+    edges = hysteresis(thinned, params).membership
+    return _stage_hashes(gray.values, smoothed.values, magnitude, direction, thinned, edges)
+
+
+def _reference_stage_digests(cover, params):
+    """Each stage's digest from the references, the way STAGE_DIGESTS was recorded."""
+    gray = np.array([[oracles.masked_gray_reference(*pixel) for pixel in row]
+                     for row in cover.pixels.astype(int)], dtype=np.uint8)
+    smoothed = oracles.smooth_separable_reference(gray, _KERNELS[params.sigma_tenths])
+    gx, gy = oracles.sobel_reference(smoothed)
+    raw = np.floor(np.sqrt(gx * gx + gy * gy) + 0.5).astype(np.int64)
+    peak = max(int(raw.max()), 1)
+    magnitude = ((510 * raw + peak) // (2 * peak)).astype(np.uint8)  # 255 * raw / peak, half up
+    direction = oracles.direction_reference(gx, gy)
+    thinned = oracles.nms_reference(magnitude, direction)
+    edges = oracles.hysteresis_dense_reference(thinned, params.low_threshold,
+                                               params.high_threshold)
+    return _stage_hashes(gray, smoothed, magnitude, direction, thinned, edges)
+
+
+def _assert_stages(key):
+    got = _stage_digests(*_stage_input(key))
+    for stage, digest, pinned in zip(STAGES, got, STAGE_DIGESTS[key]):
+        assert digest == pinned, f"{key}: {stage} is the first stage that diverged"
+
+
+def test_stage_digests_are_the_references():
+    for key, digests in STAGE_DIGESTS.items():
+        assert _reference_stage_digests(*_stage_input(key)) == digests, key
 
 
 # sigma in tenths -> SHA-256 of the little-endian float64 bytes of the
