@@ -22,11 +22,13 @@ per CPU and run the bands on threads that live for the call only. Each
 pixel is still the same expression of the same inputs, so banding cannot
 change a bit. The masked gray and non-maximum suppression measured slower
 in bands and the gradient rescale waits for the global peak, so these stay
-on one thread. Only the hysteresis labelling spans the image. It labels
-just the weak pixels, since strong pixels are edges whatever their
-neighbours, and it labels their runs along the rows, not single pixels,
-with numpy alone: a run's parent is the first run above that touches it,
-and the other runs above that touch it are merge pairs.
+on one thread. Only the hysteresis labelling spans the image. It
+thresholds the strong pixels once, into a mask with a blank row above and
+below the image that is both the edge map and every block's seed source.
+It labels just the weak pixels, since strong pixels are edges whatever
+their neighbours, and it labels their runs along the rows, not single
+pixels, with numpy alone: a run's parent is the first run above that
+touches it, and the other runs above that touch it are merge pairs.
 """
 
 from __future__ import annotations
@@ -439,102 +441,54 @@ def non_max_suppression(magnitude: np.ndarray, direction: np.ndarray) -> np.ndar
     return out
 
 
-def _weak_rows(thinned: np.ndarray, r0: int, r1: int, params: CannyParams,
-               buf: np.ndarray) -> np.ndarray:
-    """The weak mask of rows r0..r1-1, blank outside the image, flattened in ``buf``.
-
-    The rows lie on a grid one column wider than the image. That column and
-    ``buf[0]``, before the grid, stay blank, so no run crosses a row end and
-    the first pixel can start one.
-    """
-    height, width = thinned.shape
-    flat = buf[: 1 + (r1 - r0) * (width + 1)]
-    grid = flat[1:].reshape(r1 - r0, width + 1)[:, :width]
-    a, b = max(r0, 0), min(r1, height)
-    grid[: a - r0] = False
-    grid[b - r0 :] = False
-    weak = grid[a - r0 : b - r0]
-    np.greater_equal(thinned[a:b], params.low_threshold, out=weak)
-    weak &= thinned[a:b] < params.high_threshold
-    return flat
-
-
-def _scan_runs(thinned: np.ndarray, params: CannyParams, rows: int):
-    """Find the weak runs ``rows`` rows at a time and which of them are kept.
-
-    Runs are numbered in row-major order over the image. A run's parent is
-    the first run above that touches it (itself if none does); every other
-    run above that touches it is a merge, which ``_roots`` joins. A run is
-    kept when its tree holds a run with a strong pixel in reach.
-
-    Returns per block with runs ``(y0, first run, bounds)``, where ``bounds``
-    holds each run's start and end (one past its last pixel) on a grid of the
-    block's rows, one column wider than the image, and the kept flag of every
-    run (None if there is no run).
-    """
-    height, width = thinned.shape
-    rows = min(rows, height)
-    weak_buf, near_buf = np.zeros((2, (rows + 2) * (width + 1) + 2), dtype=bool)
-    buffers = weak_buf, near_buf, np.empty((rows + 2, width), dtype=bool)
-    blocks, forest, n_runs = [], [], 0
-    for y0 in range(0, height, rows):
-        # one call per block, so a block's temporaries are freed before the next
-        found = _scan_block(thinned, params, y0, min(y0 + rows, height), buffers, n_runs)
-        if found is None:
-            continue
-        bounds, part = found
-        blocks.append((y0, n_runs, bounds))
-        forest.append(part)
-        n_runs += len(part[0])
-    if not blocks:
-        return blocks, None
-    parents, seeds, above, below = map(list, zip(*forest))
-    del forest  # so that _whole frees each part once it is concatenated
-    root = _roots(_whole(parents), _whole(above), _whole(below))
-    keep = np.zeros(n_runs, dtype=bool)
-    keep[root[_whole(seeds)]] = True
-    return blocks, keep[root]
-
-
-def _scan_block(thinned: np.ndarray, params: CannyParams, y0: int, y1: int, buffers,
-                n_runs: int):
+def _scan_block(thinned: np.ndarray, params: CannyParams, strong: np.ndarray, y0: int,
+                y1: int, buffers, n_runs: int):
     """Rows y0..y1-1's runs as (bounds, (parent, seeded, merge ends)), or None if none.
 
-    The block is laid out with the row on either side. The runs that each run
-    touches in the row above are a range of run ranks, read from the rank of
-    every grid position; 8-connected, they reach from the column before the
-    run to the one after it. Runs are numbered from ``n_runs``, and the row
-    above's runs are the last numbered before it, so no state crosses a seam.
+    The weak mask of the block and the row above is laid out flat in
+    ``buffers[0]`` on a grid one column wider than the image. That column and
+    the element before the grid stay blank, so no run crosses a row end and
+    the first pixel can start one. The runs that each run touches in the row
+    above are a range of run ranks, read from the rank of every grid
+    position; 8-connected, they reach from the column before the run to the
+    one after it. A run is seeded when one of its pixels has a strong pixel
+    in its 3x3 window, read from ``strong``, the row-padded strong mask. Runs
+    are numbered from ``n_runs``, and the row above's runs are the last
+    numbered before it, so no state crosses a seam.
     """
-    height, width = thinned.shape
+    width = thinned.shape[1]
     stride, n = width + 1, y1 - y0
-    weak_buf, near_buf, strong_buf = buffers
-    flat = _weak_rows(thinned, y0 - 1, y1 + 1, params, weak_buf)
+    weak_buf, near_buf = buffers
+    # weak rows y0-1..y1-1, the row above row 0 blank
+    flat = weak_buf[: 1 + (n + 1) * stride]
+    grid = flat[1:].reshape(n + 1, stride)[:, :width]
+    a = max(y0 - 1, 0)
+    grid[: a - y0 + 1] = False
+    weak = grid[a - y0 + 1 :]
+    np.greater_equal(thinned[a:y1], params.low_threshold, out=weak)
+    weak &= thinned[a:y1] < params.high_threshold
     # alternately a run's start and its end
     bounds = np.flatnonzero(flat[1:] != flat[:-1]).astype(np.int32)
-    i0, i1 = np.searchsorted(bounds, (stride, (n + 1) * stride)).tolist()
-    if i0 == i1:
+    # a Python int: a numpy int64 would widen the int32 run numbers it offsets
+    i0 = int(np.searchsorted(bounds, stride))
+    if i0 == len(bounds):
         return None
     # rank[p]: the number of bounds before grid position p; the runs of the row
     # above the block take ranks 0 .. i0 // 2 - 1
     rank = np.repeat(np.arange(len(bounds) + 1, dtype=np.int32),
                      np.diff(bounds, prepend=-1, append=len(flat) - 1))
-    start, end = bounds[i0:i1:2], bounds[i0 + 1 : i1 : 2]
+    start, end = bounds[i0::2], bounds[i0 + 1 :: 2]
     up_lo = rank[start - stride] >> 1  # touched runs above: [up_lo, up_hi)
     up_hi = (rank[end + (1 - stride)] + 1) >> 1
-    # seeds: runs holding a weak pixel with a strong pixel in its 3x3 window
-    a, b = max(y0 - 1, 0), min(y1 + 1, height)
-    strong = strong_buf[: n + 2]  # rows y0-1..y1, blank outside the image
-    strong[: a - y0 + 1] = False
-    strong[b - y0 + 1 :] = False
-    np.greater_equal(thinned[a:b], params.high_threshold, out=strong[a - y0 + 1 : b - y0 + 1])
+    # seeds: runs holding a weak pixel with a strong pixel in its 3x3 window;
+    # strong rows y0..y1+1 are image rows y0-1..y1
     near = near_buf[: n * stride + 2]  # with a blank element either side
     column = near[1:-1].reshape(n, stride)[:, :width]
-    np.logical_or(strong[:-2], strong[1:-1], out=column)
-    column |= strong[2:]
+    np.logical_or(strong[y0:y1], strong[y0 + 1 : y1 + 1], out=column)
+    column |= strong[y0 + 2 : y1 + 2]
     touch = near[:-2] | near[2:]
     touch |= near[1:-1]
-    touch &= flat[1 + stride : 1 + (n + 1) * stride]
+    touch &= flat[1 + stride :]
     seeded = np.zeros(len(start), dtype=bool)
     seeded[(rank[np.flatnonzero(touch) + stride] >> 1) - i0 // 2] = True
     del rank, touch  # the block's largest temporaries; the rest is per run
@@ -549,7 +503,7 @@ def _scan_block(thinned: np.ndarray, params: CannyParams, y0: int, y1: int, buff
     above += np.arange(len(above), dtype=np.int32)
     # on a grid of the block's own rows, kept until the paint in the smallest
     # type that holds a position there
-    bounds = (bounds[i0:i1] - stride).astype(np.min_scalar_type(n * stride))
+    bounds = (bounds[i0:] - stride).astype(np.min_scalar_type(n * stride))
     return bounds, (parent, seeded, above, below)
 
 
@@ -604,18 +558,44 @@ def hysteresis(thinned: np.ndarray, params: CannyParams) -> EdgeMap:
     weak pixels are labelled, and the strong mask is the output as it is.
     Reachability is order-independent, so so is the result.
 
-    The labelling works on the runs of weak pixels in each row (He, Chao and
-    Suzuki, "A run-based two-scan labeling algorithm", IEEE TIP 2008):
-    ``_scan_runs`` finds them a block of rows at a time and hangs each run
-    under the first run above that touches it (Wu, Otoo and Suzuki, PAA
-    2009); the other runs above that touch it are merge pairs, which
-    ``_roots`` joins by hooking and pointer jumping (Shiloach and Vishkin,
-    J. Algorithms 1982). The kept runs are painted onto the strong mask.
+    The strong mask is thresholded once, with a blank row above and below:
+    its interior is the edge map, and every block reads its seeds from it.
+    The labelling works on the runs of weak pixels in each row, numbered in
+    row-major order (He, Chao and Suzuki, "A run-based two-scan labeling
+    algorithm", IEEE TIP 2008). ``_scan_block`` finds them a block of rows at
+    a time and hangs each run under the first run above that touches it, or
+    itself if none does (Wu, Otoo and Suzuki, PAA 2009); the other runs
+    above that touch it are merge pairs, which ``_roots`` joins by hooking
+    and pointer jumping (Shiloach and Vishkin, J. Algorithms 1982). A run is
+    kept when its tree holds a seeded run; the kept runs are painted onto
+    the strong mask.
     """
     height, width = thinned.shape
     rows = max(_BLOCK_ROWS, min(-(-height // _LABEL_BLOCKS), _LABEL_BLOCK_PIXELS // width))
-    blocks, keep = _scan_runs(thinned, params, rows)
-    edges = thinned >= params.high_threshold
+    rows = min(rows, height)
+    strong = np.empty((height + 2, width), dtype=bool)  # np.zeros may clear it all first
+    strong[0] = strong[-1] = False
+    edges = strong[1:-1]
+    np.greater_equal(thinned, params.high_threshold, out=edges)
+    buffers = np.zeros((2, (rows + 1) * (width + 1) + 2), dtype=bool)
+    blocks, forest, n_runs = [], [], 0
+    for y0 in range(0, height, rows):
+        # one call per block, so a block's temporaries are freed before the next
+        found = _scan_block(thinned, params, strong, y0, min(y0 + rows, height), buffers, n_runs)
+        if found is None:
+            continue
+        bounds, part = found
+        blocks.append((y0, n_runs, bounds))
+        forest.append(part)
+        n_runs += len(part[0])
+    if not blocks:
+        return EdgeMap(edges)
+    parents, seeds, above, below = map(list, zip(*forest))
+    del forest  # so that _whole frees each part once it is concatenated
+    root = _roots(_whole(parents), _whole(above), _whole(below))
+    keep = np.zeros(n_runs, dtype=bool)
+    keep[root[_whole(seeds)]] = True
+    keep = keep[root]
     pixels = edges.reshape(-1)
     for y0, first, bounds in blocks:
         kept = keep[first : first + len(bounds) // 2]

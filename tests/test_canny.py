@@ -492,17 +492,22 @@ def _photo_like(rng, n):
     return np.clip(pixels, 0, 255).astype(np.uint8)
 
 
+def _weak_chains(kind):
+    """Weak (30) chains 512 rows long, seeded (255) at the top-left corner, across
+    every label-block seam: a 1-px vertical comb joined along its bottom row, or
+    diagonals in every third column. Each row of a tooth or diagonal is a run."""
+    yy, xx = np.mgrid[0:512, 0:512]
+    weak = (xx % 2 == 0) | (yy == 511) if kind == "comb" else (xx + yy) % 3 == 0
+    thinned = np.where(weak, 30, 0).astype(np.uint8)
+    thinned[0, 0] = 255
+    return thinned
+
+
 @pytest.mark.parametrize("kind", ["noise", "photo", "comb", "diagonals"])
 def test_hysteresis_matches_dense_labelling_on_large_maps(kind):
     rng = np.random.default_rng(8)
     if kind in ("comb", "diagonals"):
-        # weak chains 512 rows long, seeded at one corner, across every label-block
-        # seam: a 1-px vertical comb joined along its bottom row, or diagonals
-        # in every third column
-        yy, xx = np.mgrid[0:512, 0:512]
-        weak = (xx % 2 == 0) | (yy == 511) if kind == "comb" else (xx + yy) % 3 == 0
-        thinned = np.where(weak, 30, 0).astype(np.uint8)
-        thinned[0, 0] = 255
+        thinned = _weak_chains(kind)
     else:
         pixels = (rng.integers(0, 256, (512, 512, 3), dtype=np.uint8) if kind == "noise"
                   else _photo_like(rng, 512))
@@ -565,9 +570,14 @@ def test_hysteresis_matches_dense_labelling_at_block_heights(height):
         _assert_hysteresis_matches_dense_labelling(thinned, low, high)
 
 
-def test_hysteresis_matches_fixpoint_reference_in_one_row_blocks(monkeypatch):
-    # a seam between every two rows: links, merges and seeds all cross blocks
+@pytest.mark.parametrize("label_blocks", [8, 64])
+def test_hysteresis_matches_fixpoint_reference_in_one_row_blocks(monkeypatch, label_blocks):
+    # seams between rows: links, merges and seeds all cross blocks. 8 label blocks
+    # scan maps of up to 8 rows one row at a time; 64 do so up to 64 rows, the
+    # 5x5 and 9x9 maps included, so the row above and both strong rows that a
+    # block reads come from outside it
     monkeypatch.setattr(canny, "_BLOCK_ROWS", 1)
+    monkeypatch.setattr(canny, "_LABEL_BLOCKS", label_blocks)
     for thinned, low, high in _hysteresis_cases():
         edges = hysteresis(thinned, CannyParams(15, low, high))
         assert np.array_equal(
@@ -575,20 +585,25 @@ def test_hysteresis_matches_fixpoint_reference_in_one_row_blocks(monkeypatch):
         )
 
 
-@pytest.mark.parametrize("low", [0, 1])
+@pytest.mark.parametrize("low", [0, 1, "comb"])
 def test_hysteresis_peak_memory_on_mostly_weak_maps(low):
-    # at high 255 nearly every candidate is weak, so the labels span the image
-    rng = np.random.default_rng(9)
-    gray = to_masked_gray(RgbImage(rng.integers(0, 256, (512, 512, 3), dtype=np.uint8)))
-    thinned = non_max_suppression(*gradients(smooth(gray, CannyParams(10, 5, 40))))
-    params = CannyParams(10, low, 255)
+    if low == "comb":
+        # one run per tooth pixel: the labelling's worst case per pixel, since it
+        # keeps int32 arrays per run
+        thinned, params, cap = _weak_chains("comb"), CannyParams(10, 5, 40), 10
+    else:
+        # at high 255 nearly every candidate is weak, so the labels span the image
+        rng = np.random.default_rng(9)
+        gray = to_masked_gray(RgbImage(rng.integers(0, 256, (512, 512, 3), dtype=np.uint8)))
+        thinned = non_max_suppression(*gradients(smooth(gray, CannyParams(10, 5, 40))))
+        params, cap = CannyParams(10, low, 255), 6
     tracemalloc.start()
     try:
         hysteresis(thinned, params)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 6 * thinned.size
+    assert peak <= cap * thinned.size
 
 
 # ------------------------------------------------------------ parallel bands
