@@ -97,8 +97,9 @@ def write_bmp(image: RgbImage) -> bytes:
     image_size = stride * height
     pixel_offset = FILE_HEADER_SIZE + INFO_HEADER_SIZE
 
-    # the header and the padded rows go into one buffer, copied out once
-    data = np.zeros(pixel_offset + image_size, dtype=np.uint8)
+    # the header and the padded rows go into one buffer, copied out once; the
+    # header and the pixels overwrite all of it but the row padding
+    data = np.empty(pixel_offset + image_size, dtype=np.uint8)
     struct.pack_into(
         "<2sIHHIIiiHHIIiiII",
         data,
@@ -120,7 +121,9 @@ def write_bmp(image: RgbImage) -> bytes:
         0,
         0,
     )
-    rows = data[pixel_offset:].reshape(height, stride)[:, : 3 * width]
-    # splitting the contiguous last axis is a view, so this writes into ``data``
-    rows.reshape(height, width, 3)[...] = image.pixels[::-1, :, ::-1]  # file stores BGR
+    rows = data[pixel_offset:].reshape(height, stride)
+    rows[:, 3 * width :] = 0
+    # splitting the contiguous last axis is a view, so this writes into ``data``,
+    # in the BGR order the file stores
+    rows[:, : 3 * width].reshape(height, width, 3)[...] = image.pixels[::-1, :, ::-1]
     return data.tobytes()

@@ -15,14 +15,8 @@ tests and every stage rounds back to integers. The gray projection zeroes
 the three LSBs of every channel first, so the whole pipeline is invariant
 under any payload written into those bits. Every stage works on blocks of
 ``_BLOCK_ROWS`` rows, gathers included, so its temporaries stay in cache;
-no output value depends on blocking. On images of two bands' worth of
-pixels or more (``_BAND_MIN_PIXELS`` each, so 2048 x 2048 and up), the
-smoothing and the Sobel pass split the rows into one band of whole blocks
-per CPU and run the bands on threads that live for the call only. Each
-pixel is still the same expression of the same inputs, so banding cannot
-change a bit. The masked gray and non-maximum suppression measured slower
-in bands and the gradient rescale waits for the global peak, so these stay
-on one thread. Only the hysteresis labelling spans the image. It
+no output value depends on blocking. Every stage runs on the calling
+thread. Only the hysteresis labelling spans the image. It
 thresholds the strong pixels once, into a mask with a blank row above and
 below the image that is both the edge map and every block's seed source.
 It labels just the weak pixels, since strong pixels are edges whatever
@@ -34,7 +28,6 @@ touches it, and the other runs above that touch it are merge pairs.
 from __future__ import annotations
 
 import operator
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,11 +37,6 @@ from .image import EdgeMap, GrayImage, RgbImage
 
 # A float64 block 2048 pixels wide is 512 KiB: it and its temporaries fit in L2.
 _BLOCK_ROWS = 32
-# Pixels per band of a parallel stage. Below two bands' worth a stage runs on
-# one thread: there the hand-offs of the interpreter lock between short numpy
-# calls cost more than a second core saves (slower at 512 x 512, no faster at
-# 1024 x 1024).
-_BAND_MIN_PIXELS = 2**21
 # The hysteresis labelling scans an eighth of the rows at a time: few enough
 # blocks that their per-call overhead stays small on 512 x 512 covers, small
 # enough that their temporaries stay a small share of the image. A block holds
@@ -64,8 +52,8 @@ _TIE = 2.0**-10
 _TIE_CHUNK = 2048
 # The smoothing's matrix products work on tiles of _TILE columns. Each is then
 # at most 50 x 50 x 32, below OpenBLAS's threading threshold, so it runs on the
-# calling thread and never competes with the row bands (16, 48 and 64 columns
-# measured no faster).
+# calling thread like every other stage (16, 48 and 64 columns measured no
+# faster).
 _TILE = 32
 
 
@@ -106,42 +94,9 @@ def check_min_size(image: RgbImage):
         raise ImageTooSmall(f"need at least 3x3 pixels, got {image.width}x{image.height}")
 
 
-def _row_blocks(start: int, end: int):
-    for y0 in range(start, end, _BLOCK_ROWS):
+def _row_blocks(end: int):
+    for y0 in range(0, end, _BLOCK_ROWS):
         yield y0, min(y0 + _BLOCK_ROWS, end)
-
-
-def _cpu_count() -> int:
-    """The number of CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _in_bands(height: int, width: int, work):
-    """Call ``work(y0, y1)`` on row bands that cover rows 0..height once each.
-
-    There is one band per ``_BAND_MIN_PIXELS`` pixels, at most one per CPU,
-    each of whole row blocks (so a band may be empty, and the last may end
-    part-way into a block). Band 0 runs on the calling thread and the others on
-    threads that live for this call only; numpy releases the interpreter lock
-    inside its loops, so the bands overlap. Every band is joined before this
-    returns, and an exception in any band is raised here. With fewer than two
-    bands this is just ``work(0, height)``.
-    """
-    bands = min(_cpu_count(), height * width // _BAND_MIN_PIXELS)
-    if bands < 2:
-        work(0, height)
-        return
-    from concurrent.futures import ThreadPoolExecutor  # here, so one band skips its ~6 ms import
-
-    blocks = -(-height // _BLOCK_ROWS)
-    cuts = [min(blocks * i // bands * _BLOCK_ROWS, height) for i in range(bands + 1)]
-    with ThreadPoolExecutor(bands - 1) as pool:
-        others = [pool.submit(work, y0, y1) for y0, y1 in zip(cuts[1:-1], cuts[2:])]
-        work(cuts[0], cuts[1])
-        for band in others:
-            band.result()
 
 
 def to_masked_gray(image: RgbImage) -> GrayImage:
@@ -155,7 +110,7 @@ def to_masked_gray(image: RgbImage) -> GrayImage:
     (2 (299R + 587G + 114B) + 125) // 250, at most 62125: it fits uint16.
     """
     gray = np.empty((image.height, image.width), dtype=np.uint8)
-    for y0, y1 in _row_blocks(0, image.height):
+    for y0, y1 in _row_blocks(image.height):
         block = image.pixels[y0:y1] >> 3
         # one channel at a time, so the only temporaries are 2-D; the products are
         # uint16 only under numpy 2's NEP 50 (numpy 1 keeps uint8 and wraps)
@@ -307,9 +262,9 @@ def smooth(gray: GrayImage, params: CannyParams) -> GrayImage:
     as on a photo-like cover.
 
     ``rows`` holds the horizontal sums a block's vertical pass reads; the
-    last 2*radius of them carry over to the next block of the same band,
-    and a band's first block computes its own. Each band fixes its own ties,
-    once it has found ``_TIE_CHUNK`` of them and at its end.
+    last 2*radius of them carry over to the next block, and the first block
+    computes its own. Ties are fixed once ``_TIE_CHUNK`` of them are found
+    and after the last block.
     """
     kernel = _KERNELS[params.sigma_tenths]
     taps = kernel.astype(np.float32)
@@ -319,39 +274,36 @@ def smooth(gray: GrayImage, params: CannyParams) -> GrayImage:
     padded = np.pad(gray.values, span // 2, mode="edge")
     out = np.empty((gray.height, width), dtype=np.uint8)
 
-    def band(b0: int, b1: int):
-        source = np.zeros((_BLOCK_ROWS + span, cols + span), dtype=np.float32)
-        rows = np.empty((_BLOCK_ROWS + span, cols), dtype=np.float32)
-        acc = np.empty((_BLOCK_ROWS, cols), dtype=np.float32)
-        # the same buffers as stacks of tiles, made once: a view per block
-        # would leave a few KB of freed Python objects on the free lists
-        windows = np.lib.stride_tricks.sliding_window_view(source, _TILE + span, axis=1)
-        windows = windows[:, ::_TILE].swapaxes(0, 1)
-        row_tiles, acc_tiles = (a.reshape(len(a), -1, _TILE).swapaxes(0, 1) for a in (rows, acc))
-        ties, pending = [], 0
-        for y0, y1 in _row_blocks(b0, b1):
-            n, done = y1 - y0, span if y0 > b0 else 0
-            # overlap with the full block before
-            rows[:done] = rows[_BLOCK_ROWS : _BLOCK_ROWS + done]
-            m = n + span - done
-            source[:m, : width + span] = padded[y0 + done : y1 + span]
-            np.matmul(windows[:, :m], across, out=row_tiles[:, done : n + span])
-            np.matmul(down[:n, : n + span], row_tiles[:, : n + span], out=acc_tiles[:, :n])
-            block = acc[:n, :width]
-            # taps > 0 summing to 1 keep this in [0.5, 255.5 + 1e-3]: the cast rounds, no clip
-            block += 0.5
-            out[y0:y1] = block
-            block -= out[y0:y1]  # the fraction, exactly
-            near = block < _TIE
-            near |= block > 1 - _TIE
-            ties.append(np.flatnonzero(near) + y0 * width)
-            pending += len(ties[-1])
-            # fixed a chunk's worth at a time, so the indices kept stay few
-            if pending >= _TIE_CHUNK or y1 == b1:
-                _fix_ties(padded, kernel, np.concatenate(ties), out)
-                ties, pending = [], 0
-
-    _in_bands(gray.height, width, band)
+    source = np.zeros((_BLOCK_ROWS + span, cols + span), dtype=np.float32)
+    rows = np.empty((_BLOCK_ROWS + span, cols), dtype=np.float32)
+    acc = np.empty((_BLOCK_ROWS, cols), dtype=np.float32)
+    # the same buffers as stacks of tiles, made once: a view per block
+    # would leave a few KB of freed Python objects on the free lists
+    windows = np.lib.stride_tricks.sliding_window_view(source, _TILE + span, axis=1)
+    windows = windows[:, ::_TILE].swapaxes(0, 1)
+    row_tiles, acc_tiles = (a.reshape(len(a), -1, _TILE).swapaxes(0, 1) for a in (rows, acc))
+    ties, pending = [], 0
+    for y0, y1 in _row_blocks(gray.height):
+        n, done = y1 - y0, span if y0 else 0
+        # overlap with the full block before
+        rows[:done] = rows[_BLOCK_ROWS : _BLOCK_ROWS + done]
+        m = n + span - done
+        source[:m, : width + span] = padded[y0 + done : y1 + span]
+        np.matmul(windows[:, :m], across, out=row_tiles[:, done : n + span])
+        np.matmul(down[:n, : n + span], row_tiles[:, : n + span], out=acc_tiles[:, :n])
+        block = acc[:n, :width]
+        # taps > 0 summing to 1 keep this in [0.5, 255.5 + 1e-3]: the cast rounds, no clip
+        block += 0.5
+        out[y0:y1] = block
+        block -= out[y0:y1]  # the fraction, exactly
+        near = block < _TIE
+        near |= block > 1 - _TIE
+        ties.append(np.flatnonzero(near) + y0 * width)
+        pending += len(ties[-1])
+        # fixed a chunk's worth at a time, so the indices kept stay few
+        if pending >= _TIE_CHUNK or y1 == gray.height:
+            _fix_ties(padded, kernel, np.concatenate(ties), out)
+            ties, pending = [], 0
     return GrayImage(out)
 
 
@@ -397,24 +349,22 @@ def gradients(smoothed: GrayImage) -> tuple[np.ndarray, np.ndarray]:
     raw = np.empty(smoothed.values.shape, dtype=np.uint16)  # at most sqrt(2) * 1020
     direction = np.empty_like(smoothed.values)
 
-    def band(b0: int, b1: int):
-        root = np.empty((_BLOCK_ROWS, smoothed.width))
-        for y0, y1 in _row_blocks(b0, b1):
-            gx, gy = _sobel(padded[y0 : y1 + 2].astype(np.int32))
-            # gx**2 + gy**2 <= 2 * 1020**2 is exact in int32 and float64
-            block = np.sqrt(gx * gx + gy * gy, out=root[: y1 - y0])
-            block += 0.5
-            raw[y0:y1] = block  # the cast truncates: round half up
-            direction[y0:y1] = _direction_bins(gx, gy)
-
-    _in_bands(smoothed.height, smoothed.width, band)
+    root = np.empty((_BLOCK_ROWS, smoothed.width))
+    for y0, y1 in _row_blocks(smoothed.height):
+        gx, gy = _sobel(padded[y0 : y1 + 2].astype(np.int32))
+        # gx**2 + gy**2 <= 2 * 1020**2 is exact in int32 and float64
+        block = np.sqrt(gx * gx + gy * gy, out=root[: y1 - y0])
+        block += 0.5
+        raw[y0:y1] = block  # the cast truncates: round half up
+        direction[y0:y1] = _direction_bins(gx, gy)
+    del root, block, gx, gy  # so that they are freed before the rescale
 
     # round-half-up of 255*raw/peak in integer arithmetic; 510 * 1443 + 1443
     # fits in uint32, and a flat image (peak 0) maps to all zeros
     peak = max(int(raw.max()), 1)
     magnitude = np.empty_like(smoothed.values)
     acc = np.empty((_BLOCK_ROWS, smoothed.width), dtype=np.uint32)
-    for y0, y1 in _row_blocks(0, smoothed.height):
+    for y0, y1 in _row_blocks(smoothed.height):
         scaled = np.multiply(raw[y0:y1], 510, out=acc[: y1 - y0], dtype=np.uint32)
         scaled += peak
         np.floor_divide(scaled, 2 * peak, out=magnitude[y0:y1], casting="unsafe")  # at most 255
@@ -429,7 +379,7 @@ def non_max_suppression(magnitude: np.ndarray, direction: np.ndarray) -> np.ndar
     p = np.pad(magnitude, 1)  # zeros
     width = magnitude.shape[1]
     out = np.empty_like(magnitude)
-    for y0, y1 in _row_blocks(0, magnitude.shape[0]):
+    for y0, y1 in _row_blocks(magnitude.shape[0]):
         m, d = magnitude[y0:y1], direction[y0:y1]
         keep = np.zeros(m.shape, dtype=bool)
         # each bin's two neighbors as (row, column) offsets into the padded copy

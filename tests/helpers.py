@@ -4,7 +4,7 @@ import struct
 
 import numpy as np
 
-from edgestego import RgbImage, canny
+from edgestego import RgbImage
 from edgestego.canny import _sobel
 
 
@@ -78,8 +78,3 @@ def sobel(values):
     """The detector's int32 Sobel (gx, gy) of a 2-D uint8 array, borders clamped."""
     return _sobel(np.pad(values, 1, mode="edge").astype(np.int32))
 
-
-def force_bands(monkeypatch, cpus):
-    """Make the detector's stages run one row band per CPU on any image size."""
-    monkeypatch.setattr(canny, "_BAND_MIN_PIXELS", 1)
-    monkeypatch.setattr(canny, "_cpu_count", lambda: cpus)

@@ -99,11 +99,24 @@ def test_writer_layout_for_1x1():
     assert data[54:] == b"\x00\x00\x00\x00"
 
 
-def test_writer_pads_rows_with_zeros():
-    data = write_bmp(RgbImage(np.full((2, 3, 3), 0xAB, dtype=np.uint8)))
-    assert len(data) == 54 + 2 * 12
-    assert data[54 + 9 : 54 + 12] == b"\x00\x00\x00"
-    assert data[66 + 9 : 66 + 12] == b"\x00\x00\x00"
+def test_writer_pads_rows_with_zeros(monkeypatch):
+    empty = np.empty
+
+    def dirty(*args, **kwargs):  # so that a pad byte the writer leaves unset shows
+        buffer = empty(*args, **kwargs)
+        buffer.fill(0xFF)
+        return buffer
+
+    for width in (1, 2, 3, 4):
+        image = RgbImage(np.full((2, width, 3), 0xAB, dtype=np.uint8))
+        with monkeypatch.context() as patch:
+            patch.setattr(np, "empty", dirty)
+            data = write_bmp(image)
+        stride = (3 * width + 3) // 4 * 4
+        assert len(data) == 54 + 2 * stride
+        for row in (54, 54 + stride):
+            assert data[row : row + 3 * width] == b"\xab" * (3 * width)
+            assert data[row + 3 * width : row + stride] == bytes(stride - 3 * width)
 
 
 def test_writer_is_deterministic():

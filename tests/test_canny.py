@@ -20,7 +20,7 @@ from edgestego.canny import (
     _TIE,
     _TILE,
     _direction_bins,
-    _in_bands,
+    _row_blocks,
     gradients,
     hysteresis,
     non_max_suppression,
@@ -28,7 +28,7 @@ from edgestego.canny import (
     to_masked_gray,
 )
 from edgestego.image import GrayImage
-from helpers import force_bands, sobel
+from helpers import sobel
 import oracles
 
 
@@ -174,13 +174,10 @@ _SMOOTH_PATTERNS = {
 }
 
 
-@pytest.mark.parametrize("cpus", [1, 2, 3])
 @pytest.mark.parametrize("pattern", sorted(_SMOOTH_PATTERNS))
-def test_smooth_is_exactly_the_separable_sum_on_extreme_images(monkeypatch, cpus, pattern):
-    # sums at the ends of the 0..255 range, exact halves of a flat field, the
-    # carry-over between blocks and bands, and empty bands (3 CPUs, 33 rows)
-    if cpus > 1:
-        force_bands(monkeypatch, cpus)
+def test_smooth_is_exactly_the_separable_sum_on_extreme_images(pattern):
+    # sums at the ends of the 0..255 range, exact halves of a flat field, and
+    # the carry-over between blocks
     for height, width in ((31, 1), (32, 2), (33, 40), (97, 1), (97, 37)):
         y, x = np.indices((height, width))
         values = _SMOOTH_PATTERNS[pattern](y, x).astype(np.uint8)
@@ -606,26 +603,27 @@ def test_hysteresis_peak_memory_on_mostly_weak_maps(low):
     assert peak <= cap * thinned.size
 
 
-# ------------------------------------------------------------ parallel bands
+# ------------------------------------------------------------ row bands
 
 
-@pytest.mark.parametrize("cpus", [2, 3, 5])
+@pytest.mark.parametrize("rows", [2, 3, 5])
 @pytest.mark.parametrize("height", [1, 3, 32, 33, 97, 200])
-def test_bands_cover_each_row_once_in_whole_blocks(monkeypatch, cpus, height):
-    force_bands(monkeypatch, cpus)
-    bands = []
-    _in_bands(height, 1, lambda y0, y1: bands.append((y0, y1)))
-    bands.sort()
-    assert len(bands) == min(cpus, height)
+def test_bands_cover_each_row_once_in_whole_blocks(monkeypatch, rows, height):
+    # every stage walks the image in the row bands _row_blocks yields
+    monkeypatch.setattr(canny, "_BLOCK_ROWS", rows)
+    bands = list(_row_blocks(height))
+    assert len(bands) == -(-height // rows)
     assert [y0 for y0, _ in bands[1:]] == [y1 for _, y1 in bands[:-1]]
     assert bands[0][0] == 0 and bands[-1][1] == height
-    assert all(y0 % _BLOCK == 0 for y0, _ in bands)
+    assert all(y0 % rows == 0 and y1 - y0 == rows for y0, y1 in bands[:-1])
 
 
-@pytest.mark.parametrize("cpus", [2, 3])
+@pytest.mark.parametrize("rows", [2, 3])
 @pytest.mark.parametrize("width,height", [(3, 3), (27, 33), (65, 97)])
 @pytest.mark.parametrize("tenths", [10, 23, 30])
-def test_banded_stages_equal_one_band(monkeypatch, cpus, width, height, tenths):
+def test_banded_stages_equal_one_band(monkeypatch, rows, width, height, tenths):
+    # bands of fewer rows than the smoothing's 2*radius carry sums over
+    # from bands before the one just done
     rng = np.random.default_rng(width * height + tenths)
     image = RgbImage(rng.integers(0, 256, (height, width, 3), dtype=np.uint8))
     params = CannyParams(tenths, 5, 40)
@@ -636,35 +634,24 @@ def test_banded_stages_equal_one_band(monkeypatch, cpus, width, height, tenths):
         return (gray.values, smoothed.values, *gradients(smoothed),
                 detect_edges(image, params).membership)
 
+    monkeypatch.setattr(canny, "_BLOCK_ROWS", height)
     one_band = stages()
-    force_bands(monkeypatch, cpus)
+    monkeypatch.setattr(canny, "_BLOCK_ROWS", rows)
     for banded, single in zip(stages(), one_band, strict=True):
         assert np.array_equal(banded, single)
 
 
-def test_banded_detector_leaves_no_thread_behind(monkeypatch):
-    force_bands(monkeypatch, 3)
-    image = RgbImage(np.random.default_rng(4).integers(0, 256, (70, 40, 3), dtype=np.uint8))
-    before = threading.active_count()
-    detect_edges(image, CannyParams(15, 5, 40))
-    assert threading.active_count() == before
-
-
-def test_a_failing_worker_band_raises_in_the_caller(monkeypatch):
-    force_bands(monkeypatch, 3)
-    caller = threading.get_ident()
-
-    def work(y0, y1):
-        if threading.get_ident() != caller:
-            raise ValueError(f"band {y0}..{y1}")
-
-    before = threading.active_count()
-    with pytest.raises(ValueError, match="band"):
-        _in_bands(97, 1, work)
-    assert threading.active_count() == before
-
-
 # ------------------------------------------------------------ whole pipeline
+
+
+def test_detect_edges_starts_no_thread(monkeypatch):
+    def start(thread):
+        raise AssertionError("thread started")
+
+    monkeypatch.setattr(threading.Thread, "start", start)
+    # as large as the benchmark's largest covers: no size hands rows to threads
+    image = RgbImage(np.random.default_rng(4).integers(0, 256, (2048, 2048, 3), dtype=np.uint8))
+    detect_edges(image, CannyParams(15, 5, 40))
 
 
 def test_detect_edges_requires_3x3():

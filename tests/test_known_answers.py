@@ -7,14 +7,13 @@ the digest of its packed edge map and of ``write_bmp(embed(...))`` for a
 fixed payload; two taller covers whose heights are not a multiple of the
 detector's row block; for each of these, the digest of every stage's
 output, recorded from the references in ``oracles.py`` and checked in
-pipeline order, so that a failure names the first stage that diverged; all
-of these again with the detector's stages forced into parallel row bands;
+pipeline order, so that a failure names the first stage that diverged;
 the digests of the Gaussian taps for every sigma; and a committed carrier
-file that must keep extracting to its payload. A
-refactor must leave every digest unchanged. The last test runs all of this
-again with numpy's SIMD kernels switched off and OpenBLAS on its generic
-sgemm kernel, as a stand-in for a receiver on another CPU, together with
-the smoothing tests of ``test_canny.py``.
+file that must keep extracting to its payload. A refactor must leave every
+digest unchanged. The last test runs all of this again with numpy's SIMD
+kernels switched off and OpenBLAS on its generic sgemm kernel, as a
+stand-in for a receiver on another CPU, together with the smoothing tests
+of ``test_canny.py``.
 """
 
 import hashlib
@@ -30,7 +29,6 @@ import pytest
 from edgestego import CannyParams, RgbImage, detect_edges, embed, extract, read_bmp, write_bmp
 from edgestego.canny import (_KERNELS, gradients, hysteresis, non_max_suppression, smooth,
                              to_masked_gray)
-from helpers import force_bands
 from test_acceptance import PARAM_SETS
 import oracles
 
@@ -140,19 +138,6 @@ def test_known_answer_across_row_blocks(width, height, tenths):
     _assert_stages((width, height, tenths))
     cover, params = _tall_cover(width, height), CannyParams(tenths, 5, 40)
     assert _digests(cover, params) == TALL_VECTORS[width, height, tenths]
-
-
-@pytest.mark.parametrize("cpus", [2, 3])
-def test_known_answers_hold_in_forced_bands(monkeypatch, cpus):
-    # with 3 CPUs some of these covers get an empty band, and every cover
-    # gets a band that ends mid-block
-    force_bands(monkeypatch, cpus)
-    for (seed, index), digests in VECTORS.items():
-        _assert_stages((seed, index))
-        assert _digests(_cover(seed), PARAM_SETS[index]) == digests
-    for (width, height, tenths), digests in TALL_VECTORS.items():
-        _assert_stages((width, height, tenths))
-        assert _digests(_tall_cover(width, height), CannyParams(tenths, 5, 40)) == digests
 
 
 # Per-stage known answers for the same covers and parameters: the SHA-256 of
