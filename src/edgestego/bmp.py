@@ -80,10 +80,14 @@ def read_bmp(data: bytes) -> RgbImage:
     # a zero width or height reads no bytes here, and RgbImage raises ZeroDimension
     raw = np.frombuffer(data, dtype=np.uint8, count=stride * abs_height, offset=pixel_offset)
     rows = raw.reshape(abs_height, stride)[:, : 3 * width].reshape(abs_height, width, 3)
-    rgb = rows[:, :, ::-1]  # file stores BGR
     if not top_down:
-        rgb = rgb[::-1]  # bottom-up: file row 0 is the bottom image row
-    return RgbImage(np.ascontiguousarray(rgb))
+        rows = rows[::-1]  # bottom-up: file row 0 is the bottom image row
+    # file stores BGR; one plane at a time, since a copy reversing the
+    # 3-wide channel axis runs an inner loop 3 elements long
+    rgb = np.empty((abs_height, width, 3), dtype=np.uint8)
+    for c in range(3):
+        rgb[..., c] = rows[..., 2 - c]
+    return RgbImage(rgb)
 
 
 def write_bmp(image: RgbImage) -> bytes:
@@ -124,6 +128,8 @@ def write_bmp(image: RgbImage) -> bytes:
     rows = data[pixel_offset:].reshape(height, stride)
     rows[:, 3 * width :] = 0
     # splitting the contiguous last axis is a view, so this writes into ``data``,
-    # in the BGR order the file stores
-    rows[:, : 3 * width].reshape(height, width, 3)[...] = image.pixels[::-1, :, ::-1]
+    # one plane at a time, in the BGR order the file stores
+    bgr = rows[:, : 3 * width].reshape(height, width, 3)
+    for c in range(3):
+        bgr[..., c] = image.pixels[::-1, :, 2 - c]
     return data.tobytes()

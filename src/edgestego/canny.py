@@ -15,8 +15,10 @@ tests and every stage rounds back to integers. The gray projection zeroes
 the three LSBs of every channel first, so the whole pipeline is invariant
 under any payload written into those bits. Every stage works on blocks of
 ``_BLOCK_ROWS`` rows, gathers included, so its temporaries stay in cache;
-no output value depends on blocking. Every stage runs on the calling
-thread. Only the hysteresis labelling spans the image. It
+no output value depends on blocking. Sobel and non-maximum suppression
+read a block's neighbour rows from one reused bordered window, not from a
+padded copy of the image. Every stage runs on the calling thread. Only the
+hysteresis labelling spans the image. It
 thresholds the strong pixels once, into a mask with a blank row above and
 below the image that is both the edge map and every block's seed source.
 It labels just the weak pixels, since strong pixels are edges whatever
@@ -343,26 +345,41 @@ def gradients(smoothed: GrayImage) -> tuple[np.ndarray, np.ndarray]:
     Returns uint8 (magnitude, direction); ``direction`` holds the bin angle in
     degrees, the nearest of 0/45/90/135 (boundaries at odd multiples of 22.5).
     Magnitudes are rounded, then rescaled against the image maximum so the
-    two thresholds live on a fixed 0..255 scale.
+    two thresholds live on a fixed 0..255 scale. Each block's Sobel reads an
+    edge-clamped int32 window of its rows and the row either side, and the
+    rescaled magnitudes are written over the rounded ones' own bytes, so no
+    whole-image temporary is made.
     """
-    padded = np.pad(smoothed.values, 1, mode="edge")
-    raw = np.empty(smoothed.values.shape, dtype=np.uint16)  # at most sqrt(2) * 1020
-    direction = np.empty_like(smoothed.values)
+    values = smoothed.values
+    raw = np.empty(values.shape, dtype=np.uint16)  # at most sqrt(2) * 1020
+    direction = np.empty_like(values)
 
+    frame = np.empty((_BLOCK_ROWS + 2, smoothed.width + 2), dtype=np.int32)
     root = np.empty((_BLOCK_ROWS, smoothed.width))
     for y0, y1 in _row_blocks(smoothed.height):
-        gx, gy = _sobel(padded[y0 : y1 + 2].astype(np.int32))
+        # rows y0-1..y1 and the columns either side, clamped to the image
+        n = y1 - y0
+        window = frame[: n + 2]
+        window[0, 1:-1] = values[max(y0 - 1, 0)]
+        window[1 : n + 1, 1:-1] = values[y0:y1]
+        window[n + 1, 1:-1] = values[min(y1, smoothed.height - 1)]
+        window[:, 0] = window[:, 1]
+        window[:, -1] = window[:, -2]
+        gx, gy = _sobel(window)
         # gx**2 + gy**2 <= 2 * 1020**2 is exact in int32 and float64
         block = np.sqrt(gx * gx + gy * gy, out=root[: y1 - y0])
         block += 0.5
         raw[y0:y1] = block  # the cast truncates: round half up
         direction[y0:y1] = _direction_bins(gx, gy)
-    del root, block, gx, gy  # so that they are freed before the rescale
+    del frame, window, root, block, gx, gy  # so that they are freed before the rescale
 
     # round-half-up of 255*raw/peak in integer arithmetic; 510 * 1443 + 1443
     # fits in uint32, and a flat image (peak 0) maps to all zeros
     peak = max(int(raw.max()), 1)
-    magnitude = np.empty_like(smoothed.values)
+    # Written into the first half of raw's bytes, for any block height: a
+    # block reads all its rows into acc before floor_divide writes bytes
+    # [y0*w, y1*w), which end at or before 2*y1*w, where the unread rows start.
+    magnitude = raw.reshape(-1).view(np.uint8)[: raw.size].reshape(raw.shape)
     acc = np.empty((_BLOCK_ROWS, smoothed.width), dtype=np.uint32)
     for y0, y1 in _row_blocks(smoothed.height):
         scaled = np.multiply(raw[y0:y1], 510, out=acc[: y1 - y0], dtype=np.uint32)
@@ -375,18 +392,26 @@ def non_max_suppression(magnitude: np.ndarray, direction: np.ndarray) -> np.ndar
     """Zero every pixel that is below the larger neighbor along its direction bin.
 
     Out-of-bounds neighbors count as magnitude 0, so border pixels can survive.
+    Each block compares against a zero-bordered window of its rows and the
+    row either side, reused from block to block.
     """
-    p = np.pad(magnitude, 1)  # zeros
-    width = magnitude.shape[1]
+    height, width = magnitude.shape
+    frame = np.zeros((_BLOCK_ROWS + 2, width + 2), dtype=np.uint8)
     out = np.empty_like(magnitude)
-    for y0, y1 in _row_blocks(magnitude.shape[0]):
+    for y0, y1 in _row_blocks(height):
+        # rows y0-1..y1, zero outside the image; the border columns stay zero
+        n = y1 - y0
+        p = frame[: n + 2]
+        p[0, 1:-1] = magnitude[y0 - 1] if y0 else 0
+        p[1 : n + 1, 1:-1] = magnitude[y0:y1]
+        p[n + 1, 1:-1] = magnitude[y1] if y1 < height else 0
         m, d = magnitude[y0:y1], direction[y0:y1]
         keep = np.zeros(m.shape, dtype=bool)
-        # each bin's two neighbors as (row, column) offsets into the padded copy
+        # each bin's two neighbors as (row, column) offsets into the window
         for angle, (r0, c0), (r1, c1) in ((0, (1, 0), (1, 2)), (45, (0, 2), (2, 0)),
                                           (90, (0, 1), (2, 1)), (135, (0, 0), (2, 2))):
-            keep |= (d == angle) & (m >= np.maximum(p[y0 + r0 : y1 + r0, c0 : c0 + width],
-                                                    p[y0 + r1 : y1 + r1, c1 : c1 + width]))
+            keep |= (d == angle) & (m >= np.maximum(p[r0 : r0 + n, c0 : c0 + width],
+                                                    p[r1 : r1 + n, c1 : c1 + width]))
         np.multiply(m, keep, out=out[y0:y1])
     return out
 

@@ -52,6 +52,16 @@ def test_top_down_negative_height():
     assert np.array_equal(image.pixels, pixels)
 
 
+@pytest.mark.parametrize("top_down", [False, True])
+def test_read_pixels_are_contiguous_and_owned(top_down):
+    # the detector runs several times slower on a strided array, and a view
+    # would keep the file's bytes alive with the image
+    pixels = np.random.default_rng(8).integers(0, 256, (3, 5, 3), dtype=np.uint8)
+    image = read_bmp(make_bmp(pixels, top_down=top_down))
+    assert image.pixels.flags.c_contiguous and image.pixels.flags.owndata
+    assert np.array_equal(image.pixels, pixels)
+
+
 def test_gap_between_headers_and_pixels():
     pixels = np.full((2, 2, 3), 77, dtype=np.uint8)
     image = read_bmp(make_bmp(pixels, gap=12))

@@ -278,15 +278,20 @@ def test_magnitude_rescale_is_exact_rounding():
 
 def test_gradient_magnitude_matches_scalar_pipeline():
     rng = np.random.default_rng(3)
-    # one block, then heights that span several blocks
-    for shape in ((6, 7), (70, 40), (70, 40), (70, 40), (2 * _BLOCK + 1, 9)):
+    # windows narrower and shorter than the Sobel stencil, one block, then
+    # heights that span several blocks; at 2 * _BLOCK the second block's
+    # in-place rescale writes up to the byte where its own rows start
+    shapes = [(1, 1), (2, 5), (5, 1), (6, 7), (70, 40), (70, 40), (70, 40),
+              (2 * _BLOCK + 1, 9), (_BLOCK, 9), (2 * _BLOCK, 9), (3 * _BLOCK + 5, 9)]
+    for shape in shapes:
         values = rng.integers(0, 256, shape, dtype=np.uint8)
-        magnitude, _ = gradients(_gray(values))
+        magnitude, direction = gradients(_gray(values))
         gx, gy = oracles.sobel_reference(values)
         raw = np.floor(np.hypot(gx, gy) + 0.5).astype(np.int64)
-        peak = int(raw.max())
+        peak = max(int(raw.max()), 1)
         expected = (510 * raw + peak) // (2 * peak)
         assert np.array_equal(magnitude, expected.astype(np.uint8))
+        assert np.array_equal(direction, oracles.direction_reference(gx, gy))
 
 
 def test_direction_bins_match_reference():
@@ -603,6 +608,30 @@ def test_hysteresis_peak_memory_on_mostly_weak_maps(low):
     assert peak <= cap * thinned.size
 
 
+def test_gradients_and_nms_make_no_whole_image_copy():
+    # each stage's whole-image arrays are its outputs: 3 B/px for gradients
+    # (raw's uint16, whose bytes then hold the magnitudes, and the directions)
+    # and 1 B/px for NMS; a padded copy of the image would add 1 B/px to
+    # either, and a second magnitude array another 1 to gradients
+    rng = np.random.default_rng(5)
+    gray = to_masked_gray(RgbImage(rng.integers(0, 256, (2048, 2048, 3), dtype=np.uint8)))
+    smoothed = smooth(gray, CannyParams(10, 5, 40))
+    del gray
+    peaks = []
+    tracemalloc.start()
+    try:
+        magnitude, direction = gradients(smoothed)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        non_max_suppression(magnitude, direction)
+        peaks.append(tracemalloc.get_traced_memory()[1] - base)
+    finally:
+        tracemalloc.stop()
+    assert peaks[0] <= 3.9 * smoothed.values.size
+    assert peaks[1] <= 1.5 * smoothed.values.size
+
+
 # ------------------------------------------------------------ row bands
 
 
@@ -631,8 +660,9 @@ def test_banded_stages_equal_one_band(monkeypatch, rows, width, height, tenths):
     def stages():
         gray = to_masked_gray(image)
         smoothed = smooth(gray, params)
-        return (gray.values, smoothed.values, *gradients(smoothed),
-                detect_edges(image, params).membership)
+        magnitude, direction = gradients(smoothed)
+        return (gray.values, smoothed.values, magnitude, direction,
+                non_max_suppression(magnitude, direction), detect_edges(image, params).membership)
 
     monkeypatch.setattr(canny, "_BLOCK_ROWS", height)
     one_band = stages()
