@@ -145,11 +145,13 @@ def test_rejects_bad_signature():
 
 def test_rejects_truncated_files():
     data = make_bmp(np.zeros((3, 3, 3), dtype=np.uint8))
-    with pytest.raises(MalformedFile):
+    with pytest.raises(MalformedFile, match="shorter than the 14-byte file header"):
         read_bmp(data[:10])  # inside the file header
-    with pytest.raises(MalformedFile):
+    with pytest.raises(MalformedFile, match="truncated before the DIB header"):
+        read_bmp(data[:16])  # past the file header, inside the DIB size field
+    with pytest.raises(MalformedFile, match="truncated inside the DIB header"):
         read_bmp(data[:30])  # inside the DIB header
-    with pytest.raises(MalformedFile):
+    with pytest.raises(MalformedFile, match="pixel data truncated"):
         read_bmp(data[:-1])  # one pixel byte short
 
 
