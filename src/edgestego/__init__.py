@@ -12,6 +12,6 @@ from .carrier import capacity_bytes, carrier_arrays
 from .codec import embed, extract, read_header
 from .errors import *  # noqa: F403 -- every error class is public API
 from .image import EdgeMap, RgbImage
-from .metrics import diff, verify_stability
+from .metrics import diff
 
 __version__ = "0.1.0"

@@ -364,7 +364,6 @@ def gradients(smoothed: GrayImage) -> tuple[np.ndarray, np.ndarray]:
         block += 0.5
         raw[y0:y1] = block  # the cast truncates: round half up
         direction[y0:y1] = _direction_bins(gx, gy)
-    del frame, window, root, block, gx, gy  # so that they are freed before the rescale
 
     # round-half-up of 255*raw/peak in integer arithmetic; 510 * 1443 + 1443
     # fits in uint32, and a flat image (peak 0) maps to all zeros

@@ -1,4 +1,4 @@
-"""Distortion measurement and protocol-level stability checks."""
+"""Distortion measurement between a cover and its carrier."""
 
 from __future__ import annotations
 
@@ -7,7 +7,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .canny import CannyParams, detect_edges
 from .errors import DimensionMismatch
 from .image import RgbImage
 
@@ -23,16 +22,10 @@ class DiffReport:
     psnr_db: float  # +inf for identical images
 
 
-def _check_dims(a: RgbImage, b: RgbImage):
-    if a.width != b.width or a.height != b.height:
-        raise DimensionMismatch(
-            f"{a.width}x{a.height} vs {b.width}x{b.height}"
-        )
-
-
 def diff(a: RgbImage, b: RgbImage) -> DiffReport:
     """MSE/PSNR over all channel values plus change counts."""
-    _check_dims(a, b)
+    if a.width != b.width or a.height != b.height:
+        raise DimensionMismatch(f"{a.width}x{a.height} vs {b.width}x{b.height}")
     delta = np.maximum(a.pixels, b.pixels) - np.minimum(a.pixels, b.pixels)  # |a - b|, uint8
     # exact: every square fits uint16 and the int64 sum holds them all
     mse = float(np.square(delta, dtype=np.uint16).sum(dtype=np.int64) / delta.size)
@@ -45,9 +38,3 @@ def diff(a: RgbImage, b: RgbImage) -> DiffReport:
         mse=mse,
         psnr_db=psnr,
     )
-
-
-def verify_stability(original: RgbImage, carrier: RgbImage, params: CannyParams) -> bool:
-    """True iff both images produce the identical edge map under ``params``."""
-    _check_dims(original, carrier)
-    return detect_edges(original, params) == detect_edges(carrier, params)

@@ -580,6 +580,16 @@ def test_capacity_refuses_a_cover_that_embed_refuses(tmp_path, monkeypatch):
     assert "ImageTooNarrow" in err and "remedy: " in err
 
 
+def test_capacity_needs_a_cover_27_pixels_wide(tmp_path):
+    rng = np.random.default_rng(6)
+    for width, expected in ((27, 0), (26, 3)):
+        path = tmp_path / f"w{width}.bmp"
+        path.write_bytes(write_bmp(RgbImage(rng.integers(0, 256, (30, width, 3), dtype=np.uint8))))
+        code, _, err = run_cli(["capacity", "--in", str(path), *_PARAMS])
+        assert code == expected, err
+    assert err.startswith("error: ImageTooNarrow: header row needs 27 pixels, image is 26 wide\n")
+
+
 def test_embed_refuses_a_narrow_cover_before_detecting(tmp_path, monkeypatch):
     # library and CLI embed check the header row before running the detector
     pixels = np.random.default_rng(5).integers(0, 256, (36, 10, 3), dtype=np.uint8)
@@ -647,22 +657,19 @@ def test_exit_code_table_lists_every_error():
     assert sorted(README_EXIT_CODES) == [cls.__name__ for cls in ERROR_TYPES]
 
 
-# The README's §Library list of what the package exports besides the errors.
-README_LIBRARY = {
-    "read_bmp", "write_bmp", "RgbImage", "EdgeMap", "CannyParams", "detect_edges",
-    "carrier_arrays", "capacity_bytes", "embed", "extract", "read_header", "diff",
-    "verify_stability",
-}
-
-
 def test_package_exports_the_pipeline():
+    # the names README §Library lists, read from its sentence so the two cannot drift
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    listing = readme.split("exports the pipeline and nothing else:", 1)[1]
+    sentence = re.split(r"\.\s", listing, maxsplit=1)[0]
+    listed = set(re.findall(r"`(\w+)`", sentence))
     public = {
         name for name, value in vars(edgestego).items()
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
     errors = {cls.__name__ for cls in ERROR_TYPES} | {"StegoError"}
     assert len(errors) == 13
-    assert public == README_LIBRARY | errors
+    assert public == listed | errors
 
 
 @pytest.mark.parametrize("error", ERROR_TYPES, ids=lambda cls: cls.__name__)

@@ -16,6 +16,7 @@ from edgestego import (
     TruncatedPayload,
     UnsupportedVersion,
     capacity_bytes,
+    carrier_arrays,
     detect_edges,
     embed,
     extract,
@@ -190,13 +191,25 @@ def test_carrier_reproduces_cover_edge_map():
 def test_geometry_rejections():
     with pytest.raises(ImageTooSmall):
         embed(RgbImage(np.zeros((2, 40, 3), dtype=np.uint8)), b"", PARAMS)
-    narrow = RgbImage(np.zeros((40, 20, 3), dtype=np.uint8))
-    with pytest.raises(ImageTooNarrow):
-        embed(narrow, b"", PARAMS)
-    with pytest.raises(ImageTooNarrow):
-        extract(narrow)
-    with pytest.raises(ImageTooNarrow):
-        read_header(narrow)
+    narrow = random_image(9, 26, 30)  # one pixel short of the header row
+    carriers = carrier_arrays(detect_edges(narrow, PARAMS))
+    assert carriers.size > 0  # room for the payload, not for the header
+    for call in (
+        lambda: embed(narrow, b"x", PARAMS),
+        lambda: codec.embed_at(narrow, b"x", PARAMS, carriers),
+        lambda: extract(narrow),
+        lambda: read_header(narrow),
+    ):
+        with pytest.raises(ImageTooNarrow, match="^header row needs 27 pixels, image is 26 wide$"):
+            call()
+
+
+def test_header_row_fits_a_cover_exactly_27_pixels_wide():
+    image = random_image(9, 27, 30)
+    carrier = embed(image, b"edge", PARAMS)
+    assert extract(carrier) == (b"edge", PARAMS)
+    carriers = carrier_arrays(detect_edges(image, PARAMS))
+    assert codec.embed_at(image, b"edge", PARAMS, carriers) == carrier
 
 
 def test_extract_from_plain_image_is_bad_magic():
