@@ -3,22 +3,24 @@
 The detector is the shared secret between the two communicating parties, so
 every stage is pinned down exactly. The Gaussian taps are a table of
 float64 literals, so no machine's ``exp`` computes them; floating point
-appears only in the smoothing sums (float64, taps added in a fixed order)
-and one correctly rounded IEEE square root per pixel, and IEEE fixes both.
-The smoothing evaluates its float64 sums in float32, as banded matrix
-products on numpy's BLAS, within a proven 6.3e-4 whatever order and FMA use
-the sgemm kernel has, and gives a pixel whose float32 value lies within
-``_TIE`` (2**-10) of a rounding tie the float64 expression itself, so the
-edge map is the same bit for bit whatever SIMD and BLAS kernels numpy uses.
-The gray projection is integer arithmetic, directions are binned by integer
-tests and every stage rounds back to integers. The gray projection zeroes
-the three LSBs of every channel first, so the whole pipeline is invariant
-under any payload written into those bits. Every stage works on blocks of
-``_BLOCK_ROWS`` rows, gathers included, so its temporaries stay in cache;
-no output value depends on blocking. Sobel and non-maximum suppression
-read a block's neighbour rows from one reused bordered window, not from a
-padded copy of the image. Every stage runs on the calling thread. Only the
-hysteresis labelling spans the image. It
+rounds only in the smoothing sums (float64, taps added in a fixed order),
+the gray projection's one division and one float32 square root per pixel,
+and IEEE 754 fixes all three. The smoothing evaluates its float64 sums in
+float32, as banded matrix products on numpy's BLAS, within a proven 6.3e-4
+whatever order and FMA use the sgemm kernel has, and gives a pixel whose
+float32 value lies within ``_TIE`` (2**-10) of a rounding tie the float64
+expression itself, so the edge map is the same bit for bit whatever SIMD
+and BLAS kernels numpy uses. The gray projection is an integer formula
+whose float32 products and sums are exact in any order, being integers
+below 2**24; the Sobel sums are int16 and their squares int32; directions
+are binned by integer tests and every stage rounds back to integers. The
+gray projection zeroes the three LSBs of every channel first, so the whole
+pipeline is invariant under any payload written into those bits. Every
+stage works on blocks of ``_BLOCK_ROWS`` rows, gathers included, so its
+temporaries stay in cache; no output value depends on blocking. Sobel and
+non-maximum suppression read a block's neighbour rows from one reused
+bordered window, not from a padded copy of the image. Every stage runs on
+the calling thread. Only the hysteresis labelling spans the image. It
 thresholds the strong pixels once, into a mask with a blank row above and
 below the image that is both the edge map and every block's seed source.
 It labels just the weak pixels, since strong pixels are edges whatever
@@ -57,6 +59,8 @@ _TIE_CHUNK = 2048
 # calling thread like every other stage (16, 48 and 64 columns measured no
 # faster).
 _TILE = 32
+# The masked gray's weights for the channels shifted right by 3 (to_masked_gray).
+_LUMA = np.array([2 * 299, 2 * 587, 2 * 114], dtype=np.float32)
 
 
 @dataclass(frozen=True)
@@ -106,21 +110,25 @@ def to_masked_gray(image: RgbImage) -> GrayImage:
 
     The masking makes the result (and therefore the whole detector) identical
     for any two images that differ only in channel bits 0..2. The projection
-    is 0.299/0.587/0.114 luminance rounded half up, computed exactly in
-    integers as (299r + 587g + 114b + 500) // 1000 of the masked channels.
-    With r = 8R (R = r >> 3, likewise G and B) that is
-    (2 (299R + 587G + 114B) + 125) // 250, at most 62125: it fits uint16.
+    is 0.299/0.587/0.114 luminance rounded half up, defined in integers as
+    (299r + 587g + 114b + 500) // 1000 of the masked channels. With r = 8R
+    (R = r >> 3, likewise G and B) that is (598R + 1174G + 228B + 125) // 250.
+    float32 evaluates it exactly: every product and partial sum is an
+    integer of at most 31 * 2000 + 125 = 62125 < 2**24, so the product with
+    the weights is exact in any order, with or without FMA. The division is
+    correctly rounded, and the exact quotient's fraction is 0 or at least
+    1/250, far above the 2**-16 spacing of float32 below 256, so rounding
+    never carries it up to an integer and the cast's truncation floors.
     """
     gray = np.empty((image.height, image.width), dtype=np.uint8)
+    shifted = np.empty((_BLOCK_ROWS, image.width, 3), dtype=np.float32)
+    luma = np.empty((_BLOCK_ROWS, image.width), dtype=np.float32)
     for y0, y1 in _row_blocks(image.height):
-        block = image.pixels[y0:y1] >> 3
-        # one channel at a time, so the only temporaries are 2-D; the products are
-        # uint16 only under numpy 2's NEP 50 (numpy 1 keeps uint8 and wraps)
-        luma = block[..., 0] * np.uint16(2 * 299)
-        luma += block[..., 1] * np.uint16(2 * 587)
-        luma += block[..., 2] * np.uint16(2 * 114)
-        luma += 125
-        np.floor_divide(luma, 250, out=gray[y0:y1], casting="unsafe")  # at most 248
+        n = y1 - y0
+        block = np.right_shift(image.pixels[y0:y1], 3, out=shifted[:n], casting="unsafe")
+        block = np.matmul(block, _LUMA, out=luma[:n])
+        block += 125
+        np.divide(block, 250, out=gray[y0:y1], casting="unsafe")  # at most 248
     return GrayImage(gray)
 
 
@@ -313,22 +321,24 @@ def _sobel(window: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return dx[:-2] + 2 * dx[1:-1] + dx[2:], sy[:-2] - sy[2:]
 
 
-def _direction_bins(gx: np.ndarray, gy: np.ndarray) -> np.ndarray:
+def _direction_bins(gx: np.ndarray, gy: np.ndarray, xx: np.ndarray,
+                    yy: np.ndarray) -> np.ndarray:
     """The nearest of 0/45/90/135 degrees to the direction of (gx, gy), exactly.
 
-    With x = |gx| and y = |gy|, the direction is within 22.5 degrees of the
-    horizontal when y < (sqrt(2) - 1) x, that is (x + y)**2 < 2 x**2, and of
-    the vertical when (x + y)**2 < 2 y**2. No nonzero integer pair lies on
-    these irrational bounds; (0, 0) meets the first with equality and bins
-    to 0. Otherwise neither is 0, and whether their signs differ picks the
-    diagonal.
+    ``xx`` and ``yy`` are gx**2 and gy**2, which ``gradients`` has already
+    made. With x = |gx| and y = |gy|, the direction is within 22.5 degrees
+    of the horizontal when y < (sqrt(2) - 1) x, that is (x + y)**2 < 2 x**2,
+    and of the vertical when (x + y)**2 < 2 y**2. No nonzero integer pair
+    lies on these irrational bounds; (0, 0) meets the first with equality
+    and bins to 0. Otherwise neither is 0, and whether their signs differ
+    picks the diagonal.
     """
     s = np.abs(gx)
-    s += np.abs(gy)
-    s *= s
+    s += np.abs(gy)  # at most 2040, so its square is made in int32
+    s = np.multiply(s, s, dtype=np.int32)
     bins = 45 + 90 * ((gx ^ gy) < 0).view(np.uint8)  # 135 where the signs differ, else 45
-    bins -= (s < 2 * gy * gy) * (bins - 90)  # the uint8 difference wraps, so this sets 90
-    bins *= s > 2 * gx * gx  # and this sets 0
+    bins -= (s < 2 * yy) * (bins - 90)  # the uint8 difference wraps, so this sets 90
+    bins *= s > 2 * xx  # and this sets 0
     return bins
 
 
@@ -339,16 +349,21 @@ def gradients(smoothed: GrayImage) -> tuple[np.ndarray, np.ndarray]:
     degrees, the nearest of 0/45/90/135 (boundaries at odd multiples of 22.5).
     Magnitudes are rounded, then rescaled against the image maximum so the
     two thresholds live on a fixed 0..255 scale. Each block's Sobel reads an
-    edge-clamped int32 window of its rows and the row either side, and the
+    edge-clamped int16 window of its rows and the row either side, and the
     rescaled magnitudes are written over the rounded ones' own bytes, so no
     whole-image temporary is made.
+
+    The rounding is in float32: gx**2 + gy**2 <= 2 * 1020**2 < 2**24 is
+    exact there, and for every integer in that range the correctly rounded
+    root plus 0.5 truncates as the float64 form does (a test checks all).
     """
     values = smoothed.values
     raw = np.empty(values.shape, dtype=np.uint16)  # at most sqrt(2) * 1020
     direction = np.empty_like(values)
 
-    frame = np.empty((_BLOCK_ROWS + 2, smoothed.width + 2), dtype=np.int32)
-    root = np.empty((_BLOCK_ROWS, smoothed.width))
+    # |gx|, |gy| <= 4 * 255 and every Sobel partial sum fit int16
+    frame = np.empty((_BLOCK_ROWS + 2, smoothed.width + 2), dtype=np.int16)
+    root = np.empty((_BLOCK_ROWS, smoothed.width), dtype=np.float32)
     for y0, y1 in _row_blocks(smoothed.height):
         # rows y0-1..y1 and the columns either side, clamped to the image
         n = y1 - y0
@@ -359,11 +374,12 @@ def gradients(smoothed: GrayImage) -> tuple[np.ndarray, np.ndarray]:
         window[:, 0] = window[:, 1]
         window[:, -1] = window[:, -2]
         gx, gy = _sobel(window)
-        # gx**2 + gy**2 <= 2 * 1020**2 is exact in int32 and float64
-        block = np.sqrt(gx * gx + gy * gy, out=root[: y1 - y0])
+        xx = np.multiply(gx, gx, dtype=np.int32)
+        yy = np.multiply(gy, gy, dtype=np.int32)
+        block = np.sqrt(xx + yy, out=root[:n], dtype=np.float32)
         block += 0.5
         raw[y0:y1] = block  # the cast truncates: round half up
-        direction[y0:y1] = _direction_bins(gx, gy)
+        direction[y0:y1] = _direction_bins(gx, gy, xx, yy)
 
     # round-half-up of 255*raw/peak in integer arithmetic; 510 * 1443 + 1443
     # fits in uint32, and a flat image (peak 0) maps to all zeros

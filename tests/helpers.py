@@ -75,6 +75,6 @@ def write_row0_bits(pixels, raw):
 
 
 def sobel(values):
-    """The detector's int32 Sobel (gx, gy) of a 2-D uint8 array, borders clamped."""
-    return _sobel(np.pad(values, 1, mode="edge").astype(np.int32))
+    """The detector's int16 Sobel (gx, gy) of a 2-D uint8 array, borders clamped."""
+    return _sobel(np.pad(values, 1, mode="edge").astype(np.int16))
 

@@ -155,7 +155,7 @@ def test_criterion_5_stages_match_brute_force(capsys):
             values = rng.integers(0, 256, (height, width), dtype=np.uint8)
             gx, gy = sobel(values)
             rx, ry = oracles.sobel_reference(values)
-            assert gx.dtype == gy.dtype == np.int32
+            assert gx.dtype == gy.dtype == np.int16
             assert np.array_equal(gx, rx) and np.array_equal(gy, ry)
 
         for _ in range(50):  # thinning: exact

@@ -236,7 +236,7 @@ def test_sobel_matches_reference_exactly():
         values = rng.integers(0, 256, (height, width), dtype=np.uint8)
         gx, gy = sobel(values)
         rx, ry = oracles.sobel_reference(values)
-        assert gx.dtype == gy.dtype == np.int32
+        assert gx.dtype == gy.dtype == np.int16
         assert np.array_equal(gx, rx)
         assert np.array_equal(gy, ry)
 
@@ -245,13 +245,44 @@ def test_sobel_orientation():
     # brighter to the right -> gx positive everywhere, gy zero
     rightward = np.tile(np.arange(0, 50, 10, dtype=np.uint8), (5, 1))
     gx, gy = sobel(rightward)
-    assert gx.dtype == gy.dtype == np.int32
+    assert gx.dtype == gy.dtype == np.int16
     assert (gx > 0).all() and (gy == 0).all()
     # brighter toward the top -> gy positive everywhere, gx zero
     upward = np.tile(np.arange(40, -10, -10, dtype=np.uint8)[:, None], (1, 5))
     gx, gy = sobel(upward)
-    assert gx.dtype == gy.dtype == np.int32
+    assert gx.dtype == gy.dtype == np.int16
     assert (gx == 0).all() and (gy > 0).all()
+
+
+@pytest.mark.parametrize("pattern", ["columns", "rows", "checkerboard"])
+def test_gradients_at_the_sobel_extremes(pattern):
+    # 0/255 steps put |gx| or |gy| at 4 * 255 = 1020, the largest a 3x3 Sobel
+    # of 8-bit values reaches, over two row blocks; a Sobel window or square
+    # too narrow for that would fail here
+    y, x = np.mgrid[: _BLOCK + 8, :70]
+    cells = {"columns": x // 5, "rows": y // 5, "checkerboard": x // 3 + y // 3}[pattern]
+    values = (cells % 2 * 255).astype(np.uint8)
+    gx, gy = oracles.sobel_reference(values)
+    assert max(np.abs(gx).max(), np.abs(gy).max()) == 1020
+    ours = sobel(values)
+    assert np.array_equal(ours[0], gx) and np.array_equal(ours[1], gy)
+    magnitude, direction = gradients(_gray(values))
+    raw = np.floor(np.hypot(gx, gy) + 0.5).astype(np.int64)
+    peak = int(raw.max())
+    assert np.array_equal(magnitude, ((510 * raw + peak) // (2 * peak)).astype(np.uint8))
+    assert np.array_equal(direction, oracles.direction_reference(gx, gy))
+
+
+def test_float32_root_rounds_as_float64_on_every_sum_of_squares():
+    # gradients rounds sqrt(gx**2 + gy**2) half up in float32; for every
+    # integer 0..2 * 1020**2 the sum can take, that must truncate as the
+    # float64 form does
+    s = np.arange(2 * 1020**2 + 1, dtype=np.int32)
+    root = np.sqrt(s, dtype=np.float32)
+    root += 0.5
+    assert root.dtype == np.float32
+    expected = np.sqrt(s.astype(np.float64)) + 0.5
+    assert np.array_equal(root.astype(np.uint16), expected.astype(np.uint16))
 
 
 def test_gradients_flat_image_is_all_zero():
@@ -314,7 +345,9 @@ def test_direction_rule_matches_atan2_on_every_sobel_pair():
         [45, 90, 135],
         default=0,
     )
-    bins = _direction_bins(gx.astype(np.int32), gy.astype(np.int32))
+    gx, gy = gx.astype(np.int16), gy.astype(np.int16)
+    bins = _direction_bins(gx, gy, np.multiply(gx, gx, dtype=np.int32),
+                           np.multiply(gy, gy, dtype=np.int32))
     assert bins.dtype == np.uint8
     assert np.array_equal(bins, expected)
     assert bins[1020, 1020] == 0  # gx = gy = 0

@@ -12,8 +12,8 @@ the digests of the Gaussian taps for every sigma; and a committed carrier
 file that must keep extracting to its payload. A refactor must leave every
 digest unchanged. The last test runs all of this again with numpy's SIMD
 kernels switched off and OpenBLAS on its generic sgemm kernel, as a
-stand-in for a receiver on another CPU, together with the smoothing tests
-of ``test_canny.py``.
+stand-in for a receiver on another CPU, together with the masked-gray,
+smoothing, Sobel, gradient, root and direction tests of ``test_canny.py``.
 """
 
 import hashlib
@@ -335,8 +335,9 @@ def test_known_answers_hold_without_numpy_simd_kernels():
     # numpy picks its SIMD kernels by CPU at import, and OpenBLAS its sgemm
     # kernel; switch off every SIMD target this build dispatches to and force
     # OpenBLAS's generic kernel for the CPU family, and the rest of this module
-    # must still pass unchanged, and so must the smoothing tests, whose float32
-    # sums run on loops and BLAS products of their own
+    # must still pass unchanged, and so must the tests of every stage that
+    # computes in float32 on loops and BLAS products of their own: the masked
+    # gray's product and division, the smoothing sums and the gradients' root
     from numpy._core._multiarray_umath import __cpu_dispatch__
 
     coretype = "ARMV8" if platform.machine().lower() in ("arm64", "aarch64") else "Prescott"
@@ -346,7 +347,8 @@ def test_known_answers_hold_without_numpy_simd_kernels():
         [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", __file__,
          str(Path(__file__).with_name("test_canny.py")), "-k",
          "not test_known_answers_hold_without_numpy_simd_kernels"
-         " and (test_known_answers.py or smooth)"],
+         " and (test_known_answers.py or masked_gray or smooth or sobel or gradient"
+         " or root or direction)"],
         cwd=Path(__file__).parents[1], env=env, capture_output=True, text=True,
     )
     assert child.returncode == 0, child.stdout + child.stderr
