@@ -39,7 +39,8 @@ import numpy as np
 from .errors import ImageTooSmall, ParamOutOfRange
 from .image import EdgeMap, GrayImage, RgbImage
 
-# A float64 block 2048 pixels wide is 512 KiB: it and its temporaries fit in L2.
+# The smoothing's vertical product multiplies a rows x (rows + 2r) band per
+# block, so its work grows with the block height: 64 and 128 rows ran slower.
 _BLOCK_ROWS = 32
 # The hysteresis labelling scans an eighth of the rows at a time: few enough
 # blocks that their per-call overhead stays small on 512 x 512 covers, small

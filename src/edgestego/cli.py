@@ -20,7 +20,7 @@ from . import __version__
 from .bmp import read_bmp, write_bmp
 from .canny import CannyParams, detect_edges
 from .carrier import BITS_PER_CARRIER, capacity_of, carrier_arrays
-from .codec import HEADER_MAGIC, HEADER_VERSION, check_geometry, embed_at, extract, read_header
+from .codec import HEADER_MAGIC, HEADER_VERSION, check_geometry, embed, extract, read_header
 from .errors import CorruptHeader, StegoError
 from .image import RgbImage
 from .metrics import diff
@@ -106,10 +106,10 @@ def _cmd_embed(args) -> list[str]:
     with open(args.data, "rb") as handle:
         payload = handle.read()
 
-    check_geometry(cover)  # before the detector, which a too-narrow cover would waste
-    carriers = carrier_arrays(detect_edges(cover, params))
-    _write_file(args.out, write_bmp(embed_at(cover, payload, params, carriers)))
-    return [f"carrier pixels: {carriers.size}", f"capacity bytes: {capacity_of(carriers.size)}",
+    report = {}
+    _write_file(args.out, write_bmp(embed(cover, payload, params, report)))
+    carriers = report["carriers"]
+    return [f"carrier pixels: {carriers}", f"capacity bytes: {capacity_of(carriers)}",
             f"payload bytes: {len(payload)}"]
 
 

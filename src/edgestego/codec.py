@@ -113,23 +113,17 @@ def read_header(carrier: RgbImage) -> StegoHeader:
     return StegoHeader.from_bytes(_from_fields(row[:HEADER_BITS], 1, HEADER_BITS // 8))
 
 
-def embed(image: RgbImage, payload: bytes, params: CannyParams) -> RgbImage:
+def embed(image: RgbImage, payload: bytes, params: CannyParams, report=None) -> RgbImage:
     """Hide ``payload`` in the edge pixels of ``image``; returns a new image.
 
     Only bit 0 of the 27 header pixels in row 0 and bits 0..2 of the carrier
-    pixels that actually receive payload are modified.
+    pixels that actually receive payload are modified. A ``report`` dict, if
+    given, receives the cover's carrier count under ``"carriers"``.
     """
     check_geometry(image)  # before the detector, which a too-narrow cover would waste
-    return embed_at(image, payload, params, carrier_arrays(detect_edges(image, params)))
-
-
-def embed_at(image: RgbImage, payload: bytes, params: CannyParams,
-             carriers: np.ndarray) -> RgbImage:
-    """:func:`embed` for a caller that already ran the detector.
-
-    ``carriers`` must be ``carrier_arrays(detect_edges(image, params))``.
-    """
-    check_geometry(image)
+    carriers = carrier_arrays(detect_edges(image, params))
+    if report is not None:
+        report["carriers"] = carriers.size
     capacity = min(capacity_of(carriers.size), MAX_PAYLOAD_BYTES)  # the header's 32-bit length
     if len(payload) > capacity:
         raise CapacityExceeded(required=len(payload), available=capacity)

@@ -24,6 +24,7 @@ from edgestego import (
     RgbImage,
     StegoError,
     capacity_bytes,
+    carrier_arrays,
     detect_edges,
     read_bmp,
     write_bmp,
@@ -217,6 +218,27 @@ def test_embed_reports_the_numbers(tmp_path, cover):
     capacity = int(re.search(r"capacity bytes: (\d+)", out).group(1))
     assert capacity == 9 * carriers // 8
     assert "payload bytes: 6" in out
+
+
+def test_cli_embed_runs_the_detector_once(tmp_path, cover, monkeypatch):
+    data = tmp_path / "p.bin"
+    data.write_bytes(b"covert")
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return detect_edges(*args)
+
+    for module in (edgestego.cli, edgestego.codec):
+        monkeypatch.setattr(module, "detect_edges", counting)
+    code, out, err = run_cli([
+        "embed", "--in", str(cover), "--data", str(data), *_PARAMS,
+        "--out", str(tmp_path / "c.bmp"),
+    ])
+    assert code == 0, err
+    assert len(calls) == 1
+    carriers = carrier_arrays(detect_edges(read_bmp(cover.read_bytes()), CannyParams(15, 5, 40)))
+    assert out.splitlines()[0] == f"carrier pixels: {carriers.size}"
 
 
 def test_extract_round_trip(tmp_path, carrier):

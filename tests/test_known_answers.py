@@ -10,10 +10,11 @@ output, recorded from the references in ``oracles.py`` and checked in
 pipeline order, so that a failure names the first stage that diverged;
 the digests of the Gaussian taps for every sigma; and a committed carrier
 file that must keep extracting to its payload. A refactor must leave every
-digest unchanged. The last test runs all of this again with numpy's SIMD
-kernels switched off and OpenBLAS on its generic sgemm kernel, as a
-stand-in for a receiver on another CPU, together with the masked-gray,
-smoothing, Sobel, gradient, root and direction tests of ``test_canny.py``.
+digest unchanged. The last test runs all of this again, once per row of
+OpenBLAS sgemm kernel and numpy SIMD targets switched off (from the generic
+kernel with every target off up to AVX2 with FMA), as a stand-in for a
+receiver on another CPU, together with the masked-gray, smoothing, Sobel,
+gradient, root and direction tests of ``test_canny.py``.
 """
 
 import hashlib
@@ -331,18 +332,40 @@ def test_committed_carrier_extracts_its_payload():
     assert params == CannyParams(15, 5, 40)
 
 
-def test_known_answers_hold_without_numpy_simd_kernels():
-    # numpy picks its SIMD kernels by CPU at import, and OpenBLAS its sgemm
-    # kernel; switch off every SIMD target this build dispatches to and force
-    # OpenBLAS's generic kernel for the CPU family, and the rest of this module
-    # must still pass unchanged, and so must the tests of every stage that
-    # computes in float32 on loops and BLAS products of their own: the masked
-    # gray's product and division, the smoothing sums and the gradients' root
-    from numpy._core._multiarray_umath import __cpu_dispatch__
+# (OPENBLAS_CORETYPE, the core OpenBLAS reports loading, the CPU features that
+# core needs, the numpy SIMD targets left on; every other dispatched target is
+# switched off). This DYNAMIC_ARCH build serves Prescott with its Katmai kernels.
+if platform.machine().lower() in ("arm64", "aarch64"):
+    KERNEL_ROWS = [("ARMV8", "armv8", (), ())]
+else:
+    KERNEL_ROWS = [
+        ("Prescott", "Katmai", (), ()),
+        ("Sandybridge", "Sandybridge", ("AVX",), ()),
+        ("Haswell", "Haswell", ("AVX2", "FMA3"), ("X86_V3",)),
+    ]
 
-    coretype = "ARMV8" if platform.machine().lower() in ("arm64", "aarch64") else "Prescott"
-    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(__cpu_dispatch__),
+
+@pytest.mark.parametrize("coretype,core,needs,kept", KERNEL_ROWS, ids=[r[0] for r in KERNEL_ROWS])
+def test_known_answers_hold_without_numpy_simd_kernels(coretype, core, needs, kept):
+    # numpy picks its SIMD kernels by CPU at import, and OpenBLAS its sgemm
+    # kernel; switch off the SIMD targets this build dispatches to beyond the
+    # row's and force OpenBLAS's kernel for the row's core, and the rest of
+    # this module must still pass unchanged, and so must the tests of every
+    # stage that computes in float32 on loops and BLAS products of their own:
+    # the masked gray's product and division, the smoothing sums and the
+    # gradients' root
+    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+
+    missing = [feature for feature in needs if not __cpu_features__.get(feature)]
+    if missing:
+        pytest.skip(f"this CPU lacks {' '.join(missing)}, which {coretype} needs")
+    disabled = [target for target in __cpu_dispatch__ if target not in kept]
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(disabled),
                OPENBLAS_CORETYPE=coretype)
+    # an unknown or unsupported core name falls back silently, so ask which loaded
+    probe = subprocess.run([sys.executable, "-c", "import numpy"],
+                           env=dict(env, OPENBLAS_VERBOSE="2"), capture_output=True, text=True)
+    assert f"Core: {core}".lower() in probe.stderr.lower().splitlines(), probe.stderr
     child = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", __file__,
          str(Path(__file__).with_name("test_canny.py")), "-k",
