@@ -16,8 +16,10 @@ below 2**24; the Sobel sums are int16 and their squares int32; directions
 are binned by integer tests and every stage rounds back to integers. The
 gray projection zeroes the three LSBs of every channel first, so the whole
 pipeline is invariant under any payload written into those bits. Every
-stage works on blocks of ``_BLOCK_ROWS`` rows, gathers included, so its
-temporaries stay in cache; no output value depends on blocking. Sobel and
+stage works on blocks of rows, gathers included, so its temporaries stay in
+cache: the gray and the smoothing on ``_BLOCK_ROWS`` rows, NMS on
+``_BLOCK_PIXELS`` pixels and at least ``_BLOCK_ROWS`` rows, and Sobel the
+same but at most twice that; no output value depends on blocking. Sobel and
 non-maximum suppression read a block's neighbour rows from one reused
 bordered window, not from a padded copy of the image. Every stage runs on
 the calling thread. Only the hysteresis labelling spans the image. It
@@ -41,7 +43,10 @@ from .image import EdgeMap, GrayImage, RgbImage
 
 # The smoothing's vertical product multiplies a rows x (rows + 2r) band per
 # block, so its work grows with the block height: 64 and 128 rows ran slower.
+# Sobel and NMS pay per numpy call, so take _BLOCK_PIXELS // width rows, at least
+# _BLOCK_ROWS; Sobel at most 2 * _BLOCK_ROWS, lest it set the 512 x 512 peak.
 _BLOCK_ROWS = 32
+_BLOCK_PIXELS = 2**16
 # The hysteresis labelling scans an eighth of the rows at a time: few enough
 # blocks that their per-call overhead stays small on 512 x 512 covers, small
 # enough that their temporaries stay a small share of the image. A block holds
@@ -101,9 +106,9 @@ def check_min_size(image: RgbImage):
         raise ImageTooSmall(f"need at least 3x3 pixels, got {image.width}x{image.height}")
 
 
-def _row_blocks(end: int):
-    for y0 in range(0, end, _BLOCK_ROWS):
-        yield y0, min(y0 + _BLOCK_ROWS, end)
+def _row_blocks(end: int, rows: int):
+    for y0 in range(0, end, rows):
+        yield y0, min(y0 + rows, end)
 
 
 def to_masked_gray(image: RgbImage) -> GrayImage:
@@ -124,7 +129,7 @@ def to_masked_gray(image: RgbImage) -> GrayImage:
     gray = np.empty((image.height, image.width), dtype=np.uint8)
     shifted = np.empty((_BLOCK_ROWS, image.width, 3), dtype=np.float32)
     luma = np.empty((_BLOCK_ROWS, image.width), dtype=np.float32)
-    for y0, y1 in _row_blocks(image.height):
+    for y0, y1 in _row_blocks(image.height, _BLOCK_ROWS):
         n = y1 - y0
         block = np.right_shift(image.pixels[y0:y1], 3, out=shifted[:n], casting="unsafe")
         block = np.matmul(block, _LUMA, out=luma[:n])
@@ -288,7 +293,7 @@ def smooth(gray: GrayImage, params: CannyParams) -> GrayImage:
     windows = windows[:, ::_TILE].swapaxes(0, 1)
     row_tiles, acc_tiles = (a.reshape(len(a), -1, _TILE).swapaxes(0, 1) for a in (rows, acc))
     ties = []
-    for y0, y1 in _row_blocks(gray.height):
+    for y0, y1 in _row_blocks(gray.height, _BLOCK_ROWS):
         n, done = y1 - y0, span if y0 else 0
         # overlap with the full block before
         rows[:done] = rows[_BLOCK_ROWS : _BLOCK_ROWS + done]
@@ -361,11 +366,12 @@ def gradients(smoothed: GrayImage) -> tuple[np.ndarray, np.ndarray]:
     values = smoothed.values
     raw = np.empty(values.shape, dtype=np.uint16)  # at most sqrt(2) * 1020
     direction = np.empty_like(values)
+    rows = min(2 * _BLOCK_ROWS, max(_BLOCK_ROWS, _BLOCK_PIXELS // smoothed.width))
 
     # |gx|, |gy| <= 4 * 255 and every Sobel partial sum fit int16
-    frame = np.empty((_BLOCK_ROWS + 2, smoothed.width + 2), dtype=np.int16)
-    root = np.empty((_BLOCK_ROWS, smoothed.width), dtype=np.float32)
-    for y0, y1 in _row_blocks(smoothed.height):
+    frame = np.empty((rows + 2, smoothed.width + 2), dtype=np.int16)
+    root = np.empty((rows, smoothed.width), dtype=np.float32)
+    for y0, y1 in _row_blocks(smoothed.height, rows):
         # rows y0-1..y1 and the columns either side, clamped to the image
         n = y1 - y0
         window = frame[: n + 2]
@@ -389,8 +395,8 @@ def gradients(smoothed: GrayImage) -> tuple[np.ndarray, np.ndarray]:
     # block reads all its rows into acc before floor_divide writes bytes
     # [y0*w, y1*w), which end at or before 2*y1*w, where the unread rows start.
     magnitude = raw.reshape(-1).view(np.uint8)[: raw.size].reshape(raw.shape)
-    acc = np.empty((_BLOCK_ROWS, smoothed.width), dtype=np.uint32)
-    for y0, y1 in _row_blocks(smoothed.height):
+    acc = np.empty((rows, smoothed.width), dtype=np.uint32)
+    for y0, y1 in _row_blocks(smoothed.height, rows):
         scaled = np.multiply(raw[y0:y1], 510, out=acc[: y1 - y0], dtype=np.uint32)
         scaled += peak
         np.floor_divide(scaled, 2 * peak, out=magnitude[y0:y1], casting="unsafe")  # at most 255
@@ -405,9 +411,10 @@ def non_max_suppression(magnitude: np.ndarray, direction: np.ndarray) -> np.ndar
     row either side, reused from block to block.
     """
     height, width = magnitude.shape
-    frame = np.zeros((_BLOCK_ROWS + 2, width + 2), dtype=np.uint8)
+    rows = max(_BLOCK_ROWS, _BLOCK_PIXELS // width)
+    frame = np.zeros((rows + 2, width + 2), dtype=np.uint8)
     out = np.empty_like(magnitude)
-    for y0, y1 in _row_blocks(height):
+    for y0, y1 in _row_blocks(height, rows):
         # rows y0-1..y1, zero outside the image; the border columns stay zero
         n = y1 - y0
         p = frame[: n + 2]

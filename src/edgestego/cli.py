@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import os
 import re
 import secrets
@@ -107,7 +108,9 @@ def _cmd_embed(args) -> list[str]:
         payload = handle.read()
 
     report = {}
-    _write_file(args.out, write_bmp(embed(cover, payload, params, report)))
+    carrier = embed(cover, payload, params, report)
+    del cover  # so that write_bmp's buffers are never held beside it
+    _write_file(args.out, write_bmp(carrier))
     carriers = report["carriers"]
     return [f"carrier pixels: {carriers}", f"capacity bytes: {capacity_of(carriers)}",
             f"payload bytes: {len(payload)}"]
@@ -181,6 +184,7 @@ def _cmd_metrics(args) -> list[str]:
     return [f"{label:<18} {value}" for _, label, value in fields]
 
 
+@functools.cache  # argparse reads COLUMNS each time it formats, not here
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="edgestego",

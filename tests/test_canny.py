@@ -670,22 +670,27 @@ def test_gradients_and_nms_make_no_whole_image_copy():
 
 @pytest.mark.parametrize("rows", [2, 3, 5])
 @pytest.mark.parametrize("height", [1, 3, 32, 33, 97, 200])
-def test_bands_cover_each_row_once_in_whole_blocks(monkeypatch, rows, height):
+def test_bands_cover_each_row_once_in_whole_blocks(rows, height):
     # every stage walks the image in the row bands _row_blocks yields
-    monkeypatch.setattr(canny, "_BLOCK_ROWS", rows)
-    bands = list(_row_blocks(height))
+    bands = list(_row_blocks(height, rows))
     assert len(bands) == -(-height // rows)
     assert [y0 for y0, _ in bands[1:]] == [y1 for _, y1 in bands[:-1]]
     assert bands[0][0] == 0 and bands[-1][1] == height
     assert all(y0 % rows == 0 and y1 - y0 == rows for y0, y1 in bands[:-1])
 
 
-@pytest.mark.parametrize("rows", [2, 3])
-@pytest.mark.parametrize("width,height", [(3, 3), (27, 33), (65, 97)])
+@pytest.mark.parametrize("width,height,rows", [
+    *((width, height, rows) for width, height in ((3, 3), (27, 33), (65, 97)) for rows in (2, 3)),
+    # the module's own blocks, around their seams: gradients' at 64 rows and
+    # NMS's at 128 on 512-wide covers, both at 64 on 1024-wide ones
+    *((512, height, None) for height in (63, 64, 65, 127, 128, 129)),
+    *((1024, height, None) for height in (63, 64, 65)),
+])
 @pytest.mark.parametrize("tenths", [10, 23, 30])
-def test_banded_stages_equal_one_band(monkeypatch, rows, width, height, tenths):
+def test_banded_stages_equal_one_band(monkeypatch, width, height, rows, tenths):
     # bands of fewer rows than the smoothing's 2*radius carry sums over
-    # from bands before the one just done
+    # from bands before the one just done; a pixel budget of 4 bands' worth
+    # gives NMS 4 bands a block and gradients its cap of 2
     rng = np.random.default_rng(width * height + tenths)
     image = RgbImage(rng.integers(0, 256, (height, width, 3), dtype=np.uint8))
     params = CannyParams(tenths, 5, 40)
@@ -697,9 +702,12 @@ def test_banded_stages_equal_one_band(monkeypatch, rows, width, height, tenths):
         return (gray.values, smoothed.values, magnitude, direction,
                 non_max_suppression(magnitude, direction), detect_edges(image, params).membership)
 
-    monkeypatch.setattr(canny, "_BLOCK_ROWS", height)
-    one_band = stages()
-    monkeypatch.setattr(canny, "_BLOCK_ROWS", rows)
+    with monkeypatch.context() as patch:
+        patch.setattr(canny, "_BLOCK_ROWS", height)
+        one_band = stages()
+    if rows:
+        monkeypatch.setattr(canny, "_BLOCK_ROWS", rows)
+        monkeypatch.setattr(canny, "_BLOCK_PIXELS", 4 * rows * width)
     for banded, single in zip(stages(), one_band, strict=True):
         assert np.array_equal(banded, single)
 

@@ -29,7 +29,7 @@ from edgestego import (
     read_bmp,
     write_bmp,
 )
-from edgestego.cli import main
+from edgestego.cli import build_parser, main
 
 
 def run_cli(argv):
@@ -184,7 +184,13 @@ _ERROR_CASES = {  # id: (argv, exit code, stderr with tmp_path written as {tmp})
                          ids=_ERROR_CASES)
 def test_error_paths_are_pinned_byte_for_byte(tmp_path, cover, carrier, monkeypatch, argv,
                                               expected_code, expected_err):
+    # one parser serves every call in the process: a usage line wrapped to another
+    # width and a successful call before this one change nothing it prints
+    monkeypatch.setenv("COLUMNS", "200")
+    assert run_cli(["capacity", "--coords", "x"])[2].splitlines()[0] == (
+        "usage: edgestego capacity [-h] --in BMP --sigma S --low T --high T [--coords N]")
     monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its usage line to the terminal
+    assert run_cli(["inspect", "--in", str(carrier[0])])[0] == 0
     rng = np.random.default_rng(5)
     narrow = tmp_path / "narrow.bmp"
     narrow.write_bytes(write_bmp(RgbImage(rng.integers(0, 256, (36, 10, 3), dtype=np.uint8))))
@@ -265,15 +271,20 @@ def test_extract_honors_matching_expectations(tmp_path, carrier):
 
 
 def test_extract_expectation_mismatch_fails_before_writing(tmp_path, carrier):
-    carrier_path, _ = carrier
+    carrier_path, payload = carrier
     recovered = tmp_path / "never.bin"
-    code, _, err = run_cli([
-        "extract", "--in", str(carrier_path), "--out", str(recovered),
-        "--expect-sigma", "2.0",
-    ])
-    assert code == 5
-    assert "CorruptHeader" in err
-    assert not recovered.exists()
+    for flag, value in (("--expect-sigma", "2.0"), ("--expect-low", "6")):
+        code, _, err = run_cli([
+            "extract", "--in", str(carrier_path), "--out", str(recovered), flag, value,
+        ])
+        assert code == 5
+        assert "CorruptHeader" in err
+        assert not recovered.exists()
+        # the parser is shared between calls, but an expectation is not
+        again = tmp_path / "r.bin"
+        code, _, err = run_cli(["extract", "--in", str(carrier_path), "--out", str(again)])
+        assert code == 0, err
+        assert again.read_bytes() == payload
 
 
 def test_capacity_report_matches_library(cover):
@@ -398,6 +409,7 @@ def test_inputs_are_never_modified(tmp_path, cover, carrier):
 
 
 def test_usage_errors_exit_one(tmp_path, cover):
+    assert build_parser() is build_parser()  # built once per process
     # missing required flag
     code, _, _ = run_cli(["embed", "--in", str(cover)])
     assert code == 1
