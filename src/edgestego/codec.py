@@ -80,21 +80,32 @@ class StegoHeader:
 
 def _to_fields(data: bytes, width: int, count: int) -> np.ndarray:
     """``count`` fields of ``width`` bits read from ``data`` MSB-first; the last is zero-padded."""
-    bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8), count=width * count)
-    fields = np.zeros(count, dtype=np.uint8)
-    for column in bits.reshape(count, width).T:  # most significant bit first
-        fields <<= 1
-        fields |= column
-    return fields
+    words = np.zeros(-(-count // 8), dtype=np.uint32)  # width bytes, big-endian: eight fields
+    groups = np.frombuffer(data, dtype=np.uint8)[: width * words.size]
+    for k in range(width):  # a missing trailing byte stays zero
+        words <<= 8
+        column = groups[k::width]
+        words[: column.size] |= column
+    fields = np.empty((words.size, 8), dtype=np.uint8)
+    for j in reversed(range(8)):  # the low byte of each shifted word
+        fields[:, j] = words
+        words >>= width
+    fields &= (1 << width) - 1
+    return fields.reshape(-1)[:count]
 
 
 def _from_fields(fields: np.ndarray, width: int, size: int) -> bytes:
     """The first ``size`` bytes of the low ``width`` bits of ``fields``, read MSB-first."""
-    bits = np.empty((fields.size, width), dtype=np.uint8)
-    for k in range(width):
-        np.right_shift(fields, width - 1 - k, out=bits[:, k])
-    bits &= 1
-    return np.packbits(bits.reshape(-1)[: 8 * size]).tobytes()
+    words = np.zeros(-(-fields.size // 8), dtype=np.uint32)  # eight fields: width bytes
+    for j in range(8):  # a missing trailing field counts as zero
+        words <<= width
+        column = fields[j::8]
+        words[: column.size] |= column & ((1 << width) - 1)
+    groups = np.empty((words.size, width), dtype=np.uint8)
+    for k in reversed(range(width)):
+        groups[:, k] = words
+        words >>= 8
+    return groups.reshape(-1)[:size].tobytes()
 
 
 def check_geometry(image: RgbImage):
@@ -134,9 +145,11 @@ def embed(image: RgbImage, payload: bytes, params: CannyParams, report=None) -> 
     row[:HEADER_BITS] = (row[:HEADER_BITS] & 0xFE) | _to_fields(header, 1, HEADER_BITS)
 
     n = -(-8 * len(payload) // BITS_PER_CARRIER)  # whole carriers, one 3-bit field per channel
-    fields = _to_fields(payload, 3, 3 * n)  # before the gather: its bit temporaries are freed
+    fields = _to_fields(payload, 3, 3 * n)
     pixels, used = out.reshape(-1).view("V3"), carriers[:n]  # one 3-byte item per pixel
-    channels = (np.take(pixels, used).view(np.uint8) & 0xF8) | fields
+    channels = np.take(pixels, used).view(np.uint8)  # masked and filled in place
+    channels &= 0xF8
+    channels |= fields
     np.put(pixels, used, channels.view(pixels.dtype))
     return RgbImage(out)
 
@@ -153,4 +166,5 @@ def extract(carrier: RgbImage) -> tuple[bytes, CannyParams]:
 
     n = -(-8 * header.payload_len // BITS_PER_CARRIER)
     channels = np.take(carrier.pixels.reshape(-1).view("V3"), carriers[:n]).view(np.uint8)
+    del carriers
     return _from_fields(channels, 3, header.payload_len), header.params

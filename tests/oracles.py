@@ -240,3 +240,22 @@ def hysteresis_dense_reference(thinned, low, high):
     keep = np.zeros(count + 1, dtype=bool)
     keep[labels[thinned >= high]] = True  # strong pixels never carry label 0
     return keep[labels]
+
+
+def fields_reference(data, width, count):
+    """``count`` integers of ``width`` bits cut from ``data`` as one MSB-first bit string.
+
+    Bits past the end of ``data`` read as zero.
+    """
+    bits = "".join(format(byte, "08b") for byte in data).ljust(width * count, "0")
+    return [int(bits[i * width:(i + 1) * width], 2) for i in range(count)]
+
+
+def bytes_from_fields_reference(fields, width, size):
+    """The first ``size`` bytes of the low ``width`` bits of each field, MSB first.
+
+    A trailing partial byte is padded with zero bits.
+    """
+    bits = "".join(format(int(f) % (1 << width), f"0{width}b") for f in fields)
+    bits = bits[:8 * size].ljust(8 * size, "0")
+    return bytes(int(bits[i:i + 8], 2) for i in range(0, len(bits), 8))

@@ -1,5 +1,7 @@
 """Wire format, bit packing, and the embed/extract round trip."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -25,6 +27,7 @@ from edgestego import (
 from edgestego import codec
 from edgestego.codec import StegoHeader, _from_fields, _to_fields
 from helpers import random_image, write_row0_bits
+import oracles
 
 PARAMS = CannyParams(15, 5, 40)
 
@@ -49,6 +52,48 @@ def test_payload_fields_fill_channels_msb_first_and_pad_with_zeros():
 def test_fields_round_trip(data, width):
     count = -(-8 * len(data) // width)
     assert _from_fields(_to_fields(data, width, count), width, len(data)) == data
+
+
+def test_fields_past_the_data_are_zero():
+    # zero padding holds with no data at all: np.unpackbits with count= does not
+    # zero-fill the output of an empty input
+    assert _to_fields(b"", 1, 80).tolist() == [0] * 80
+    assert _to_fields(b"", 3, 8).tolist() == [0] * 8
+
+
+@given(st.binary(max_size=64), st.sampled_from([1, 3]), st.data())
+def test_fields_match_the_bit_string_reference(data, width, draw):
+    # counts that cut, pad or end mid-group, and the 80 header slots
+    count = draw.draw(st.integers(0, (8 * len(data) + 16) // width) | st.just(80))
+    assert _to_fields(data, width, count).tolist() == oracles.fields_reference(data, width, count)
+
+
+@given(st.sampled_from([1, 3]), st.data())
+def test_bytes_from_fields_match_the_bit_string_reference(width, draw):
+    # whole channel bytes, as in the header row: bits above width must be masked
+    count = draw.draw(st.integers(0, 200) | st.just(80))
+    fields = draw.draw(st.lists(st.integers(0, 255), min_size=count, max_size=count))
+    size = draw.draw(st.integers(0, -(-width * count // 8)))
+    expected = oracles.bytes_from_fields_reference(fields, width, size)
+    assert _from_fields(np.array(fields, dtype=np.uint8), width, size) == expected
+
+
+def test_field_packing_holds_no_array_of_one_byte_per_bit():
+    # one uint32 word per 3-byte group beside the fields or bytes themselves
+    data = np.random.default_rng(0).integers(0, 256, 100_000, dtype=np.uint8).tobytes()
+    peaks = []
+    tracemalloc.start()
+    try:
+        fields = _to_fields(data, 3, 3 * -(-8 * len(data) // 9))
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        _from_fields(fields, 3, len(data))
+        peaks.append(tracemalloc.get_traced_memory()[1] - base)
+    finally:
+        tracemalloc.stop()
+    assert peaks[0] <= 7 * len(data)
+    assert peaks[1] <= 7 * len(data)
 
 
 # ------------------------------------------------------------------- header
