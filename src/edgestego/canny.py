@@ -21,14 +21,16 @@ cache: the gray and the smoothing on ``_BLOCK_ROWS`` rows, NMS on
 ``_BLOCK_PIXELS`` pixels and at least ``_BLOCK_ROWS`` rows, and Sobel the
 same but at most twice that; no output value depends on blocking. Sobel and
 non-maximum suppression read a block's neighbour rows from one reused
-bordered window, not from a padded copy of the image. Every stage runs on
-the calling thread. Only the hysteresis labelling spans the image. It
-thresholds the strong pixels once, into a mask with a blank row above and
-below the image that is both the edge map and every block's seed source.
-It labels just the weak pixels, since strong pixels are edges whatever
-their neighbours, and it labels their runs along the rows, not single
-pixels, with numpy alone: a run's parent is the first run above that
-touches it, and the other runs above that touch it are merge pairs.
+bordered window; only the smoothing keeps a padded copy of the image. In
+``detect_edges`` the smoothing, Sobel and non-maximum suppression each write
+their output into the array they consumed. Every stage runs on the calling
+thread. Only the hysteresis labelling spans the image. It thresholds the
+strong pixels once, into a mask with a blank row above and below the image
+that is both the edge map and every block's seed source. It labels just the
+weak pixels, since strong pixels are edges whatever their neighbours, and it
+labels their runs along the rows, not single pixels, with numpy alone: a
+run's parent is the first run above that touches it, and the other runs
+above that touch it are merge pairs.
 """
 
 from __future__ import annotations
@@ -228,7 +230,7 @@ def _banded(taps: np.ndarray, n: int) -> np.ndarray:
     return matrix
 
 
-def smooth(gray: GrayImage, params: CannyParams) -> GrayImage:
+def smooth(gray: GrayImage, params: CannyParams, out: np.ndarray | None = None) -> GrayImage:
     """Separable Gaussian blur: horizontal pass, vertical pass, round to 8 bits.
 
     Borders clamp to the edge and each pass adds its taps in kernel order in
@@ -274,7 +276,8 @@ def smooth(gray: GrayImage, params: CannyParams) -> GrayImage:
     ``rows`` holds the horizontal sums a block's vertical pass reads; the
     last 2*radius of them carry over to the next block, and the first block
     computes its own. Ties are fixed once ``_TIE_CHUNK`` of them are found
-    and after the last block.
+    and after the last block. The result is written into ``out`` when given,
+    which may be ``gray.values``: once the padded copy is made, only it is read.
     """
     kernel = _KERNELS[params.sigma_tenths]
     taps = kernel.astype(np.float32)
@@ -282,7 +285,7 @@ def smooth(gray: GrayImage, params: CannyParams) -> GrayImage:
     cols = -(-width // _TILE) * _TILE
     across, down = _banded(taps, _TILE), _banded(taps, _BLOCK_ROWS).T
     padded = np.pad(gray.values, span // 2, mode="edge")
-    out = np.empty((gray.height, width), dtype=np.uint8)
+    out = np.empty((gray.height, width), dtype=np.uint8) if out is None else out
 
     source = np.zeros((_BLOCK_ROWS + span, cols + span), dtype=np.float32)
     rows = np.empty((_BLOCK_ROWS + span, cols), dtype=np.float32)
@@ -348,7 +351,7 @@ def _direction_bins(gx: np.ndarray, gy: np.ndarray, xx: np.ndarray,
     return bins
 
 
-def gradients(smoothed: GrayImage) -> tuple[np.ndarray, np.ndarray]:
+def gradients(smoothed: GrayImage, out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Sobel magnitude rescaled to 0..255 plus the quantized gradient direction.
 
     Returns uint8 (magnitude, direction); ``direction`` holds the bin angle in
@@ -357,7 +360,9 @@ def gradients(smoothed: GrayImage) -> tuple[np.ndarray, np.ndarray]:
     two thresholds live on a fixed 0..255 scale. Each block's Sobel reads an
     edge-clamped int16 window of its rows and the row either side, and the
     rescaled magnitudes are written over the rounded ones' own bytes, so no
-    whole-image temporary is made.
+    whole-image temporary is made. The directions are written into ``out``
+    when given, which may be ``smoothed.values``: a block reads its row above
+    from the window before it, never from a row already overwritten.
 
     The rounding is in float32: gx**2 + gy**2 <= 2 * 1020**2 < 2**24 is
     exact there, and for every integer in that range the correctly rounded
@@ -365,7 +370,7 @@ def gradients(smoothed: GrayImage) -> tuple[np.ndarray, np.ndarray]:
     """
     values = smoothed.values
     raw = np.empty(values.shape, dtype=np.uint16)  # at most sqrt(2) * 1020
-    direction = np.empty_like(values)
+    direction = np.empty_like(values) if out is None else out
     rows = min(2 * _BLOCK_ROWS, max(_BLOCK_ROWS, _BLOCK_PIXELS // smoothed.width))
 
     # |gx|, |gy| <= 4 * 255 and every Sobel partial sum fit int16
@@ -375,7 +380,8 @@ def gradients(smoothed: GrayImage) -> tuple[np.ndarray, np.ndarray]:
         # rows y0-1..y1 and the columns either side, clamped to the image
         n = y1 - y0
         window = frame[: n + 2]
-        window[0, 1:-1] = values[max(y0 - 1, 0)]
+        # every block but the last has ``rows`` rows, so frame[rows] is row y0-1
+        window[0, 1:-1] = frame[rows, 1:-1] if y0 else values[0]
         window[1 : n + 1, 1:-1] = values[y0:y1]
         window[n + 1, 1:-1] = values[min(y1, smoothed.height - 1)]
         window[:, 0] = window[:, 1]
@@ -403,17 +409,20 @@ def gradients(smoothed: GrayImage) -> tuple[np.ndarray, np.ndarray]:
     return magnitude, direction
 
 
-def non_max_suppression(magnitude: np.ndarray, direction: np.ndarray) -> np.ndarray:
+def non_max_suppression(magnitude: np.ndarray, direction: np.ndarray,
+                        out: np.ndarray | None = None) -> np.ndarray:
     """Zero every pixel that is below the larger neighbor along its direction bin.
 
     Out-of-bounds neighbors count as magnitude 0, so border pixels can survive.
     Each block compares against a zero-bordered window of its rows and the
-    row either side, reused from block to block.
+    row either side, reused from block to block. The result is written into
+    ``out`` when given, which may be ``direction``: a block's rows are
+    written only once their comparisons are done.
     """
     height, width = magnitude.shape
     rows = max(_BLOCK_ROWS, _BLOCK_PIXELS // width)
     frame = np.zeros((rows + 2, width + 2), dtype=np.uint8)
-    out = np.empty_like(magnitude)
+    out = np.empty_like(magnitude) if out is None else out
     for y0, y1 in _row_blocks(height, rows):
         # rows y0-1..y1, zero outside the image; the border columns stay zero
         n = y1 - y0
@@ -606,6 +615,9 @@ def detect_edges(image: RgbImage, params: CannyParams) -> EdgeMap:
     and images differing only in channel bits 0..2 give the same map.
     """
     check_min_size(image)
-    # nested calls: no stage's input outlives the stage that reads it
-    thinned = non_max_suppression(*gradients(smooth(to_masked_gray(image), params)))
+    gray = to_masked_gray(image)
+    # smoothing, gradients and NMS each write over the gray's bytes, which hold the
+    # input that only that stage reads; nested, the magnitudes die with NMS's call
+    out = gray.values
+    thinned = non_max_suppression(*gradients(smooth(gray, params, out=out), out=out), out=out)
     return hysteresis(thinned, params)

@@ -645,24 +645,38 @@ def test_gradients_and_nms_make_no_whole_image_copy():
     # each stage's whole-image arrays are its outputs: 3 B/px for gradients
     # (raw's uint16, whose bytes then hold the magnitudes, and the directions)
     # and 1 B/px for NMS; a padded copy of the image would add 1 B/px to
-    # either, and a second magnitude array another 1 to gradients
+    # either, and a second magnitude array another 1 to gradients. Written
+    # into the array each consumed, gradients keeps raw alone and NMS nothing,
+    # and detect_edges peaks in gradients, holding raw beside the gray's bytes.
     rng = np.random.default_rng(5)
-    gray = to_masked_gray(RgbImage(rng.integers(0, 256, (2048, 2048, 3), dtype=np.uint8)))
-    smoothed = smooth(gray, CannyParams(10, 5, 40))
-    del gray
-    peaks = []
-    tracemalloc.start()
-    try:
-        magnitude, direction = gradients(smoothed)
-        peaks.append(tracemalloc.get_traced_memory()[1])
+    image = RgbImage(rng.integers(0, 256, (2048, 2048, 3), dtype=np.uint8))
+    params = CannyParams(10, 5, 40)
+    smoothed = smooth(to_masked_gray(image), params)
+
+    def peak_above_entry(stage, *args, **kwargs):
         tracemalloc.reset_peak()
         base = tracemalloc.get_traced_memory()[0]
-        non_max_suppression(magnitude, direction)
-        peaks.append(tracemalloc.get_traced_memory()[1] - base)
+        result = stage(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1] - base, result
+
+    tracemalloc.start()
+    try:
+        grad, (magnitude, direction) = peak_above_entry(gradients, smoothed)
+        nms, _ = peak_above_entry(non_max_suppression, magnitude, direction)
+        grad_in_place, (magnitude, direction) = peak_above_entry(
+            gradients, smoothed, out=smoothed.values)
+        nms_in_place, _ = peak_above_entry(non_max_suppression, magnitude, direction,
+                                           out=direction)
+        del magnitude, direction, _
+        detect, _ = peak_above_entry(detect_edges, image, params)
     finally:
         tracemalloc.stop()
-    assert peaks[0] <= 3.9 * smoothed.values.size
-    assert peaks[1] <= 1.5 * smoothed.values.size
+    size = smoothed.values.size
+    assert grad <= 3.9 * size
+    assert nms <= 1.5 * size
+    assert grad_in_place <= 2.6 * size
+    assert nms_in_place <= 0.2 * size
+    assert detect <= 3.6 * size
 
 
 # ------------------------------------------------------------ row bands
@@ -699,8 +713,25 @@ def test_banded_stages_equal_one_band(monkeypatch, width, height, rows, tenths):
         gray = to_masked_gray(image)
         smoothed = smooth(gray, params)
         magnitude, direction = gradients(smoothed)
-        return (gray.values, smoothed.values, magnitude, direction,
-                non_max_suppression(magnitude, direction), detect_edges(image, params).membership)
+        inputs = [a.copy() for a in (gray.values, smoothed.values, magnitude, direction)]
+        thinned = non_max_suppression(magnitude, direction)
+        # without out= no stage wrote over its input
+        for array, copy in zip((gray.values, smoothed.values, magnitude, direction), inputs):
+            assert np.array_equal(array, copy)
+        # with out= naming the stage's own input (a copy here), each stage
+        # writes its result there and reads no row it has overwritten: the
+        # smoothing reads its padded copy, gradients carries the row above a
+        # block in its window, and NMS writes a block once its comparisons are done
+        g, s, _, d = inputs
+        in_place = (smooth(GrayImage(g), params, out=g).values, *gradients(GrayImage(s), out=s),
+                    non_max_suppression(magnitude, d, out=d))
+        wanted = (smoothed.values, magnitude, direction, thinned)
+        for got, want in zip(in_place, wanted, strict=True):
+            assert np.array_equal(got, want)
+        for got, buffer in zip((in_place[0], in_place[2], in_place[3]), (g, s, d)):
+            assert np.shares_memory(got, buffer)
+        return (gray.values, smoothed.values, magnitude, direction, thinned,
+                detect_edges(image, params).membership)
 
     with monkeypatch.context() as patch:
         patch.setattr(canny, "_BLOCK_ROWS", height)
