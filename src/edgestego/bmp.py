@@ -90,20 +90,19 @@ def read_bmp(data: bytes) -> RgbImage:
     return RgbImage(rgb)
 
 
-def write_bmp(image: RgbImage) -> bytes:
+def write_bmp(image: RgbImage) -> bytearray:
     """Encode an RgbImage as a canonical bottom-up 24-bit BI_RGB BMP.
 
     Output is byte-deterministic: fixed 40-byte info header, rows padded
-    with zero bytes to a 4-byte boundary.
+    with zero bytes to a 4-byte boundary. The file is built in the
+    ``bytearray`` returned, with no second copy of it.
     """
     width, height = image.width, image.height
     stride = _row_stride(width)
     image_size = stride * height
     pixel_offset = FILE_HEADER_SIZE + INFO_HEADER_SIZE
 
-    # the header and the padded rows go into one buffer, copied out once; the
-    # header and the pixels overwrite all of it but the row padding
-    data = np.empty(pixel_offset + image_size, dtype=np.uint8)
+    data = bytearray(pixel_offset + image_size)  # zeroed, so the row padding is done
     struct.pack_into(
         "<2sIHHIIiiHHIIiiII",
         data,
@@ -125,11 +124,10 @@ def write_bmp(image: RgbImage) -> bytes:
         0,
         0,
     )
-    rows = data[pixel_offset:].reshape(height, stride)
-    rows[:, 3 * width :] = 0
+    rows = np.frombuffer(data, dtype=np.uint8, offset=pixel_offset).reshape(height, stride)
     # splitting the contiguous last axis is a view, so this writes into ``data``,
     # one plane at a time, in the BGR order the file stores
     bgr = rows[:, : 3 * width].reshape(height, width, 3)
     for c in range(3):
         bgr[..., c] = image.pixels[::-1, :, 2 - c]
-    return data.tobytes()
+    return data

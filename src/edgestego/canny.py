@@ -4,17 +4,17 @@ The detector is the shared secret between the two communicating parties, so
 every stage is pinned down exactly. The Gaussian taps are a table of
 float64 literals, so no machine's ``exp`` computes them; floating point
 rounds only in the smoothing sums (float64, taps added in a fixed order),
-the gray projection's one division and one float32 square root per pixel,
-and IEEE 754 fixes all three. The smoothing evaluates its float64 sums in
+the gray projection's one division, one float32 square root and the
+direction bins' two float32 products per pixel, and IEEE 754 fixes all four. The smoothing evaluates its float64 sums in
 float32, as banded matrix products on numpy's BLAS, within a proven 6.3e-4
 whatever order and FMA use the sgemm kernel has, and gives a pixel whose
 float32 value lies within ``_TIE`` (2**-10) of a rounding tie the float64
 expression itself, so the edge map is the same bit for bit whatever SIMD
 and BLAS kernels numpy uses. The gray projection is an integer formula
 whose float32 products and sums are exact in any order, being integers
-below 2**24; the Sobel sums are int16 and their squares int32; directions
-are binned by integer tests and every stage rounds back to integers. The
-gray projection zeroes the three LSBs of every channel first, so the whole
+below 2**24, and so are the Sobel squares; the Sobel sums are int16, the
+direction bins exact float32 cone tests; every stage rounds back to integers.
+The gray projection zeroes the three LSBs of every channel first, so the whole
 pipeline is invariant under any payload written into those bits. Every
 stage works on blocks of rows, gathers included, so its temporaries stay in
 cache: the gray and the smoothing on ``_BLOCK_ROWS`` rows, NMS on
@@ -330,24 +330,23 @@ def _sobel(window: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return dx[:-2] + 2 * dx[1:-1] + dx[2:], sy[:-2] - sy[2:]
 
 
-def _direction_bins(gx: np.ndarray, gy: np.ndarray, xx: np.ndarray,
-                    yy: np.ndarray) -> np.ndarray:
+def _direction_bins(gx: np.ndarray, gy: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     """The nearest of 0/45/90/135 degrees to the direction of (gx, gy), exactly.
 
-    ``xx`` and ``yy`` are gx**2 and gy**2, which ``gradients`` has already
-    made. With x = |gx| and y = |gy|, the direction is within 22.5 degrees
-    of the horizontal when y < (sqrt(2) - 1) x, that is (x + y)**2 < 2 x**2,
-    and of the vertical when (x + y)**2 < 2 y**2. No nonzero integer pair
-    lies on these irrational bounds; (0, 0) meets the first with equality
-    and bins to 0. Otherwise neither is 0, and whether their signs differ
-    picks the diagonal.
+    Overwrites ``gx`` and ``gy`` with x = |gx| and y = |gy|, and the float32
+    ``scratch`` of their shape. With t = sqrt(2) - 1, the direction is within
+    22.5 degrees of the vertical when x < t y, and of the horizontal unless
+    y > t x; (0, 0) meets neither and bins to 0. Otherwise neither is 0, and
+    whether their signs differ picks the diagonal. In float32, with t rounded
+    to float32, the tests are exact: for integers x, y <= 1020, not both 0,
+    |y - t x| >= 3.59e-4 (closest at x = 985), and the float32 product errs
+    by at most 2.1e-5 (1020 times t's rounding error plus half an ulp below 512).
     """
-    s = np.abs(gx)
-    s += np.abs(gy)  # at most 2040, so its square is made in int32
-    s = np.multiply(s, s, dtype=np.int32)
+    t = np.float32(np.sqrt(2) - 1)
     bins = 45 + 90 * ((gx ^ gy) < 0).view(np.uint8)  # 135 where the signs differ, else 45
-    bins -= (s < 2 * yy) * (bins - 90)  # the uint8 difference wraps, so this sets 90
-    bins *= s > 2 * xx  # and this sets 0
+    x, y = np.abs(gx, out=gx), np.abs(gy, out=gy)
+    bins -= (x < np.multiply(y, t, out=scratch)) * (bins - 90)  # the uint8 difference wraps: 90
+    bins *= y > np.multiply(x, t, out=scratch)  # and this sets 0
     return bins
 
 
@@ -364,9 +363,10 @@ def gradients(smoothed: GrayImage, out: np.ndarray | None = None) -> tuple[np.nd
     when given, which may be ``smoothed.values``: a block reads its row above
     from the window before it, never from a row already overwritten.
 
-    The rounding is in float32: gx**2 + gy**2 <= 2 * 1020**2 < 2**24 is
-    exact there, and for every integer in that range the correctly rounded
-    root plus 0.5 truncates as the float64 form does (a test checks all).
+    The rounding is in float32: gx**2 + gy**2 <= 2 * 1020**2 < 2**24, so the
+    squares and their sum are exact there, and for every integer in that
+    range the correctly rounded root plus 0.5 truncates as the float64 form
+    does (a test checks all).
     """
     values = smoothed.values
     raw = np.empty(values.shape, dtype=np.uint16)  # at most sqrt(2) * 1020
@@ -376,6 +376,7 @@ def gradients(smoothed: GrayImage, out: np.ndarray | None = None) -> tuple[np.nd
     # |gx|, |gy| <= 4 * 255 and every Sobel partial sum fit int16
     frame = np.empty((rows + 2, smoothed.width + 2), dtype=np.int16)
     root = np.empty((rows, smoothed.width), dtype=np.float32)
+    acc = np.empty((rows, smoothed.width), dtype=np.uint32)  # gy**2, the cone tests, rescaling
     for y0, y1 in _row_blocks(smoothed.height, rows):
         # rows y0-1..y1 and the columns either side, clamped to the image
         n = y1 - y0
@@ -387,12 +388,14 @@ def gradients(smoothed: GrayImage, out: np.ndarray | None = None) -> tuple[np.nd
         window[:, 0] = window[:, 1]
         window[:, -1] = window[:, -2]
         gx, gy = _sobel(window)
-        xx = np.multiply(gx, gx, dtype=np.int32)
-        yy = np.multiply(gy, gy, dtype=np.int32)
-        block = np.sqrt(xx + yy, out=root[:n], dtype=np.float32)
+        block, scratch = root[:n], acc[:n].view(np.float32)
+        np.multiply(gx, gx, out=block, dtype=np.float32)
+        block += np.multiply(gy, gy, out=scratch, dtype=np.float32)
+        np.sqrt(block, out=block)
         block += 0.5
         raw[y0:y1] = block  # the cast truncates: round half up
-        direction[y0:y1] = _direction_bins(gx, gy, xx, yy)
+        direction[y0:y1] = _direction_bins(gx, gy, scratch)
+        del gx, gy  # so the next block's Sobel never runs beside them
 
     # round-half-up of 255*raw/peak in integer arithmetic; 510 * 1443 + 1443
     # fits in uint32, and a flat image (peak 0) maps to all zeros
@@ -401,7 +404,6 @@ def gradients(smoothed: GrayImage, out: np.ndarray | None = None) -> tuple[np.nd
     # block reads all its rows into acc before floor_divide writes bytes
     # [y0*w, y1*w), which end at or before 2*y1*w, where the unread rows start.
     magnitude = raw.reshape(-1).view(np.uint8)[: raw.size].reshape(raw.shape)
-    acc = np.empty((rows, smoothed.width), dtype=np.uint32)
     for y0, y1 in _row_blocks(smoothed.height, rows):
         scaled = np.multiply(raw[y0:y1], 510, out=acc[: y1 - y0], dtype=np.uint32)
         scaled += peak

@@ -20,7 +20,7 @@ import numpy as np
 from . import __version__
 from .bmp import read_bmp, write_bmp
 from .canny import CannyParams, detect_edges
-from .carrier import BITS_PER_CARRIER, capacity_of, carrier_arrays
+from .carrier import BITS_PER_CARRIER, capacity_of, carrier_arrays, carrier_count
 from .codec import HEADER_MAGIC, HEADER_VERSION, check_geometry, embed, extract, read_header
 from .errors import CorruptHeader, StegoError
 from .image import RgbImage
@@ -67,7 +67,7 @@ def _load_image(path: str) -> RgbImage:
         return read_bmp(handle.read())
 
 
-def _write_file(path: str, data: bytes):
+def _write_file(path: str, data: bytes | bytearray):
     """Write ``data`` to ``path`` whole or not at all.
 
     The bytes go to a new file in the same directory, which then replaces
@@ -144,12 +144,12 @@ def _cmd_capacity(args) -> list[str]:
     image = _load_image(args.in_path)
     check_geometry(image)  # a cover that embed refuses has no capacity to report
     edges = detect_edges(image, params)
-    carriers = carrier_arrays(edges)
-    lines = [f"edge pixels: {edges.count}", f"carrier pixels: {carriers.size}",
-             f"capacity bits: {BITS_PER_CARRIER * carriers.size}",
-             f"capacity bytes: {capacity_of(carriers.size)}"]
+    carriers = carrier_count(edges)
+    lines = [f"edge pixels: {edges.count}", f"carrier pixels: {carriers}",
+             f"capacity bits: {BITS_PER_CARRIER * carriers}",
+             f"capacity bytes: {capacity_of(carriers)}"]
     if args.coords:
-        ys, xs = np.divmod(carriers[: args.coords], edges.width)
+        ys, xs = np.divmod(carrier_arrays(edges, args.coords), edges.width)
         lines.append(" ; ".join(f"({x:03d},{y:03d})" for x, y in zip(xs.tolist(), ys.tolist())))
     return lines
 

@@ -1,10 +1,11 @@
 """Carrier enumeration order, the reserved header row, and capacity math."""
 
 import numpy as np
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from edgestego import EdgeMap, capacity_bytes, carrier_arrays
+from edgestego import EdgeMap, capacity_bytes, carrier, carrier_arrays
 
 
 def _edge_map(width, height, coords):
@@ -88,3 +89,22 @@ def test_construction_order_is_irrelevant():
     forward = _edge_map(10, 10, coords)
     backward = _edge_map(10, 10, list(reversed(coords)))
     assert _carriers(forward) == _carriers(backward)
+
+
+@pytest.mark.parametrize("block_pixels", [1, 7, 64, carrier._BLOCK_PIXELS])
+def test_index_matches_a_whole_image_flatnonzero(monkeypatch, block_pixels):
+    # row blocks of one row and of several, the limit cut inside a block, at
+    # the first seam, at the end and past it, and an index too big for uint16
+    monkeypatch.setattr(carrier, "_BLOCK_PIXELS", block_pixels)
+    rng = np.random.default_rng(block_pixels)
+    for width, height in ((1, 9), (3, 7), (8, 20), (13, 31), (300, 250), (2**16 + 1, 2)):
+        membership = rng.random((height, width)) < 0.4
+        edges = EdgeMap(membership)
+        reference = np.flatnonzero(membership[1:]) + width
+        assert carrier.carrier_count(edges) == reference.size
+        seam = np.count_nonzero(membership[1 : 1 + max(1, block_pixels // width)])
+        for limit in (None, 0, 1, seam, reference.size // 2, reference.size, reference.size + 5):
+            index = carrier_arrays(edges, limit)
+            assert index.dtype.kind == "u" and index.dtype.itemsize <= 4
+            assert np.iinfo(index.dtype).max >= width * height
+            assert np.array_equal(index, reference[:limit])

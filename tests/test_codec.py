@@ -96,6 +96,31 @@ def test_field_packing_holds_no_array_of_one_byte_per_bit():
     assert peaks[1] <= 7 * len(data)
 
 
+def test_embed_and_extract_peaks_on_a_dense_cover():
+    # about 40% of a noise cover's pixels are edges. Past the detector, embed
+    # holds its output (3 B/px), the payload's carriers as 4-byte indices and
+    # their 3-bit fields, never the edge map or a whole intp index beside
+    # them (8.46 B/px when it did); extract peaks in the detector's Sobel stage
+    rng = np.random.default_rng(0)
+    image = RgbImage(rng.integers(0, 256, (1024, 1024, 3), dtype=np.uint8))
+    params = CannyParams(10, 5, 40)
+    size = capacity_bytes(detect_edges(image, params)) - 100
+    payload = rng.integers(0, 256, size, dtype=np.uint8).tobytes()
+    tracemalloc.start()
+    try:
+        carrier = embed(image, payload, params)
+        embed_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        extracted = extract(carrier)
+        extract_peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert extracted == (payload, params)
+    assert embed_peak <= 7.0 * 1024 * 1024
+    assert extract_peak <= 4.4 * 1024 * 1024
+
+
 # ------------------------------------------------------------------- header
 
 
@@ -225,6 +250,25 @@ def test_payload_limit_reports_what_the_image_holds(monkeypatch):
             embed(image, bytes(payload), PARAMS)
         assert excinfo.value.available == available
     assert capacity_bytes(detect_edges(image, PARAMS)) == 545
+
+
+@pytest.mark.parametrize("chunk", [3, 8, codec._CHUNK])
+def test_chunk_seams_move_no_payload_bit(monkeypatch, chunk):
+    # embed scatters and extract gathers a chunk of carriers at a time; every
+    # carrier, on either side of a seam, gets its own three 3-bit fields
+    image = random_image(2, 36, 36)
+    edges = detect_edges(image, PARAMS)
+    payload = np.random.default_rng(3).integers(0, 256, capacity_bytes(edges),
+                                                dtype=np.uint8).tobytes()
+    monkeypatch.setattr(codec, "_CHUNK", chunk)
+    carrier = embed(image, payload, PARAMS)
+    n = -(-8 * len(payload) // 9)
+    ys, xs = np.nonzero(edges.membership[1:])
+    expected = image.pixels.copy()
+    fields = np.array(oracles.fields_reference(payload, 3, 3 * n), dtype=np.uint8)
+    expected[ys[:n] + 1, xs[:n]] = expected[ys[:n] + 1, xs[:n]] & 0xF8 | fields.reshape(n, 3)
+    assert np.array_equal(carrier.pixels[1:], expected[1:])
+    assert extract(carrier) == (payload, PARAMS)
 
 
 def test_carrier_reproduces_cover_edge_map():
