@@ -8,7 +8,7 @@ re-run it on the carrier image and land on the identical pixel set.
 
 from .bmp import read_bmp, write_bmp
 from .canny import CannyParams, detect_edges
-from .carrier import capacity_bytes, carrier_arrays
+from .carrier import capacity_bytes
 from .codec import embed, extract, read_header
 from .errors import *  # noqa: F403 -- every error class is public API
 from .image import EdgeMap, RgbImage

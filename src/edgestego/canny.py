@@ -2,13 +2,13 @@
 
 The detector is the shared secret between the two communicating parties, so
 every stage is pinned down exactly. The Gaussian taps are a table of
-float64 literals, so no machine's ``exp`` computes them; floating point
-rounds only in the smoothing sums (float64, taps added in a fixed order),
-the gray projection's one division, one float32 square root and the
-direction bins' two float32 products per pixel, and IEEE 754 fixes all four. The smoothing evaluates its float64 sums in
-float32, as banded matrix products on numpy's BLAS, within a proven 6.3e-4
-whatever order and FMA use the sgemm kernel has, and gives a pixel whose
-float32 value lies within ``_TIE`` (2**-10) of a rounding tie the float64
+float64 literals, so no machine's ``exp`` computes them; floating point rounds
+only in the smoothing sums (float64, taps added in a fixed order), the gray
+projection's one division, one float32 square root and the direction bins' two
+float32 products per pixel, and IEEE 754 fixes all four. The smoothing evaluates
+its float64 sums in float32, as banded matrix products on numpy's BLAS, within a
+proven 6.3e-4 whatever order and FMA use the sgemm kernel has, and gives a pixel
+whose float32 value lies within ``_TIE`` (2**-10) of a rounding tie the float64
 expression itself, so the edge map is the same bit for bit whatever SIMD
 and BLAS kernels numpy uses. The gray projection is an integer formula
 whose float32 products and sums are exact in any order, being integers

@@ -20,7 +20,7 @@ import numpy as np
 from . import __version__
 from .bmp import read_bmp, write_bmp
 from .canny import CannyParams, detect_edges
-from .carrier import BITS_PER_CARRIER, capacity_of, carrier_arrays, carrier_count
+from .carrier import BITS_PER_CARRIER, capacity_of, carrier_blocks, carrier_count
 from .codec import HEADER_MAGIC, HEADER_VERSION, check_geometry, embed, extract, read_header
 from .errors import CorruptHeader, StegoError
 from .image import RgbImage
@@ -149,7 +149,7 @@ def _cmd_capacity(args) -> list[str]:
              f"capacity bits: {BITS_PER_CARRIER * carriers}",
              f"capacity bytes: {capacity_of(carriers)}"]
     if args.coords:
-        ys, xs = np.divmod(carrier_arrays(edges, args.coords), edges.width)
+        ys, xs = np.divmod(np.concatenate([*carrier_blocks(edges, args.coords)]), edges.width)
         lines.append(" ; ".join(f"({x:03d},{y:03d})" for x, y in zip(xs.tolist(), ys.tolist())))
     return lines
 

@@ -12,9 +12,8 @@ Wire format (a compatibility contract between conforming implementations):
   last three in B's. Carrier pixels are taken in row-major order from the
   recomputed edge map; a trailing partial group is zero-padded.
 
-Both operations count the carriers, index only the payload's own (4 bytes
-or fewer each, see ``carrier_arrays``), and gather and scatter those
-``_CHUNK`` at a time; embed drops the edge map before it copies the image.
+Both operations count the carriers, then scatter or gather the payload's
+own as ``carrier_blocks`` yields them, one row block of intp indices at a time.
 
 Extraction re-runs the detector on the carrier itself. That recovers the
 embedder's exact edge map because the detector masks channel bits 0..2
@@ -30,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .canny import CannyParams, check_min_size, detect_edges
-from .carrier import BITS_PER_CARRIER, capacity_of, carrier_arrays, carrier_count
+from .carrier import BITS_PER_CARRIER, capacity_of, carrier_blocks, carrier_count
 from .errors import (
     BadMagic,
     CapacityExceeded,
@@ -49,9 +48,6 @@ HEADER_PIXELS = 27  # ceil(80 / 3)
 MAX_PAYLOAD_BYTES = 2**32 - 1
 
 _HEADER_STRUCT = struct.Struct(">HBBBBI")
-# np.take and np.put copy a carrier index narrower than intp to intp, so they
-# get this many carriers at a time: a 128 KB copy, not 8 bytes per carrier
-_CHUNK = 2**14
 
 
 @dataclass(frozen=True)
@@ -146,23 +142,21 @@ def embed(image: RgbImage, payload: bytes, params: CannyParams, report=None) -> 
     capacity = min(capacity_of(carriers), MAX_PAYLOAD_BYTES)  # the header's 32-bit length
     if len(payload) > capacity:
         raise CapacityExceeded(required=len(payload), available=capacity)
-    n = -(-8 * len(payload) // BITS_PER_CARRIER)  # whole carriers, one 3-bit field per channel
-    used = carrier_arrays(edges, n)
-    del edges  # before the output copy, so the two are never held together
-
     out = image.pixels.copy()
     header = StegoHeader(params, len(payload)).to_bytes()
     row = out[0].reshape(-1)  # 80 header bits for the first 80 channel slots
     row[:HEADER_BITS] = (row[:HEADER_BITS] & 0xFE) | _to_fields(header, 1, HEADER_BITS)
 
+    n = -(-8 * len(payload) // BITS_PER_CARRIER)  # whole carriers, one 3-bit field per channel
     fields = _to_fields(payload, 3, 3 * n)
     pixels = out.reshape(-1).view("V3")  # one 3-byte item per pixel
-    for c0 in range(0, n, _CHUNK):
-        chunk = used[c0 : c0 + _CHUNK]
-        channels = np.take(pixels, chunk).view(np.uint8)  # masked and filled in place
+    done = 0
+    for block in carrier_blocks(edges, n):
+        channels = np.take(pixels, block).view(np.uint8)  # masked and filled in place
         channels &= 0xF8
-        channels |= fields[3 * c0 : 3 * (c0 + chunk.size)]
-        np.put(pixels, chunk, channels.view(pixels.dtype))
+        channels |= fields[3 * done : 3 * (done + block.size)]
+        np.put(pixels, block, channels.view(pixels.dtype))
+        done += block.size
     return RgbImage(out)
 
 
@@ -177,11 +171,10 @@ def extract(carrier: RgbImage) -> tuple[bytes, CannyParams]:
         )
 
     n = -(-8 * header.payload_len // BITS_PER_CARRIER)
-    used = carrier_arrays(edges, n)
-    del edges  # neither it nor the index is held beside the field unpacking
     pixels = carrier.pixels.reshape(-1).view("V3")
     channels = np.empty(n, dtype=pixels.dtype)
-    for c0 in range(0, n, _CHUNK):
-        channels[c0 : c0 + _CHUNK] = np.take(pixels, used[c0 : c0 + _CHUNK])
-    del used
+    done = 0
+    for block in carrier_blocks(edges, n):
+        channels[done : done + block.size] = np.take(pixels, block)
+        done += block.size
     return _from_fields(channels.view(np.uint8), 3, header.payload_len), header.params

@@ -17,7 +17,6 @@ from edgestego import (
     EdgeMap,
     RgbImage,
     capacity_bytes,
-    carrier_arrays,
     detect_edges,
     diff,
     embed,
@@ -26,6 +25,7 @@ from edgestego import (
     write_bmp,
 )
 from edgestego.canny import hysteresis, non_max_suppression, smooth
+from edgestego.carrier import carrier_count
 from edgestego.image import GrayImage
 from helpers import sobel
 import oracles
@@ -82,7 +82,7 @@ def test_criterion_1_capacity_arithmetic(capsys):
         membership.reshape(-1)[80 : 80 + 5630] = True  # row 0 stays clear
         edges = EdgeMap(membership)
         assert edges.count == 5630
-        assert carrier_arrays(edges).size == 5630
+        assert carrier_count(edges) == 5630
         capacity_bytes(edges)  # warm-up
         start = time.perf_counter()
         result = capacity_bytes(edges)

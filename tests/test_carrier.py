@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from edgestego import EdgeMap, capacity_bytes, carrier, carrier_arrays
+from edgestego import EdgeMap, capacity_bytes, carrier
 
 
 def _edge_map(width, height, coords):
@@ -15,8 +15,13 @@ def _edge_map(width, height, coords):
     return EdgeMap(membership)
 
 
+def _walk(edges, limit):
+    """The blocks ``carrier_blocks`` yields, joined into one index."""
+    return np.concatenate([np.empty(0, np.intp), *carrier.carrier_blocks(edges, limit)])
+
+
 def _carriers(edges):
-    ys, xs = np.divmod(carrier_arrays(edges), edges.width)
+    ys, xs = np.divmod(_walk(edges, edges.count), edges.width)
     return list(zip(xs.tolist(), ys.tolist()))
 
 
@@ -102,9 +107,19 @@ def test_index_matches_a_whole_image_flatnonzero(monkeypatch, block_pixels):
         edges = EdgeMap(membership)
         reference = np.flatnonzero(membership[1:]) + width
         assert carrier.carrier_count(edges) == reference.size
-        seam = np.count_nonzero(membership[1 : 1 + max(1, block_pixels // width)])
-        for limit in (None, 0, 1, seam, reference.size // 2, reference.size, reference.size + 5):
-            index = carrier_arrays(edges, limit)
-            assert index.dtype.kind == "u" and index.dtype.itemsize <= 4
-            assert np.iinfo(index.dtype).max >= width * height
-            assert np.array_equal(index, reference[:limit])
+        rows = max(1, block_pixels // width)
+        seam = np.count_nonzero(membership[1 : 1 + rows])
+        for limit in (0, 1, seam, reference.size // 2, reference.size, reference.size + 5):
+            blocks = list(carrier.carrier_blocks(edges, limit))
+            assert all(block.dtype == np.intp for block in blocks)
+            assert np.array_equal(_walk(edges, limit), reference[:limit])
+            for k, block in enumerate(blocks):  # block k holds row block k's carriers only
+                assert np.all((block // width - 1) // rows == k)
+            # the walk ends with the block that reaches the limit, else with the image
+            if limit == 0:
+                ends = 0
+            elif limit <= reference.size:
+                ends = (reference[limit - 1] // width - 1) // rows + 1
+            else:
+                ends = -(-(height - 1) // rows)
+            assert len(blocks) == ends

@@ -24,11 +24,11 @@ from edgestego import (
     RgbImage,
     StegoError,
     capacity_bytes,
-    carrier_arrays,
     detect_edges,
     read_bmp,
     write_bmp,
 )
+from edgestego.carrier import carrier_count
 from edgestego.cli import build_parser, main
 
 
@@ -243,8 +243,8 @@ def test_cli_embed_runs_the_detector_once(tmp_path, cover, monkeypatch):
     ])
     assert code == 0, err
     assert len(calls) == 1
-    carriers = carrier_arrays(detect_edges(read_bmp(cover.read_bytes()), CannyParams(15, 5, 40)))
-    assert out.splitlines()[0] == f"carrier pixels: {carriers.size}"
+    carriers = carrier_count(detect_edges(read_bmp(cover.read_bytes()), CannyParams(15, 5, 40)))
+    assert out.splitlines()[0] == f"carrier pixels: {carriers}"
 
 
 def test_extract_round_trip(tmp_path, carrier):
@@ -324,6 +324,22 @@ def test_capacity_coords_are_the_carriers_in_row_major_order(cover):
         ])
         assert code == 0
         assert out.strip().splitlines()[-1].split(" ; ") == expected[:count]
+
+
+def test_capacity_coords_cross_one_row_block_seams(cover, monkeypatch):
+    # one row per block, so the walk yields a block per row, and more
+    # coordinates asked for than the cover has carriers
+    monkeypatch.setattr("edgestego.carrier._BLOCK_PIXELS", 1)
+    edges = detect_edges(read_bmp(cover.read_bytes()), CannyParams(15, 5, 40))
+    ys, xs = np.nonzero(edges.membership[1:])
+    expected = [f"({x:03d},{y + 1:03d})" for x, y in zip(xs.tolist(), ys.tolist())]
+    assert len(set(ys.tolist())) > 1
+    code, out, _ = run_cli([
+        "capacity", "--in", str(cover), "--sigma", "1.5", "--low", "5", "--high", "40",
+        "--coords", str(len(expected) + 5),
+    ])
+    assert code == 0
+    assert out.strip().splitlines()[-1].split(" ; ") == expected
 
 
 def test_capacity_rejects_negative_coords(cover):

@@ -18,13 +18,13 @@ from edgestego import (
     TruncatedPayload,
     UnsupportedVersion,
     capacity_bytes,
-    carrier_arrays,
     detect_edges,
     embed,
     extract,
     read_header,
 )
 from edgestego import codec
+from edgestego.carrier import _BLOCK_PIXELS, carrier_count
 from edgestego.codec import StegoHeader, _from_fields, _to_fields
 from helpers import random_image, write_row0_bits
 import oracles
@@ -96,14 +96,9 @@ def test_field_packing_holds_no_array_of_one_byte_per_bit():
     assert peaks[1] <= 7 * len(data)
 
 
-def test_embed_and_extract_peaks_on_a_dense_cover():
-    # about 40% of a noise cover's pixels are edges. Past the detector, embed
-    # holds its output (3 B/px), the payload's carriers as 4-byte indices and
-    # their 3-bit fields, never the edge map or a whole intp index beside
-    # them (8.46 B/px when it did); extract peaks in the detector's Sobel stage
+def _embed_and_extract_peaks(image, params):
+    """Traced peaks of embed and of extract above the carrier, with a near-capacity payload."""
     rng = np.random.default_rng(0)
-    image = RgbImage(rng.integers(0, 256, (1024, 1024, 3), dtype=np.uint8))
-    params = CannyParams(10, 5, 40)
     size = capacity_bytes(detect_edges(image, params)) - 100
     payload = rng.integers(0, 256, size, dtype=np.uint8).tobytes()
     tracemalloc.start()
@@ -117,8 +112,33 @@ def test_embed_and_extract_peaks_on_a_dense_cover():
     finally:
         tracemalloc.stop()
     assert extracted == (payload, params)
-    assert embed_peak <= 7.0 * 1024 * 1024
+    return embed_peak, extract_peak, carrier.pixels.nbytes
+
+
+def test_embed_and_extract_peaks_on_a_dense_cover():
+    # about 40% of a noise cover's pixels are edges. Past the detector, embed
+    # holds its output (3 B/px), the 1 B/px edge map, the payload's 3-bit
+    # fields and one row block's intp index, never an index of every carrier
+    # (6.39 B/px with a 4-byte one, 8.46 B/px with an intp one); extract
+    # peaks in the detector's Sobel stage
+    rng = np.random.default_rng(0)
+    image = RgbImage(rng.integers(0, 256, (1024, 1024, 3), dtype=np.uint8))
+    params = CannyParams(10, 5, 40)
+    embed_peak, extract_peak, carrier_bytes = _embed_and_extract_peaks(image, params)
+    assert embed_peak <= 6.2 * 1024 * 1024
     assert extract_peak <= 4.4 * 1024 * 1024
+    # so embed, holding the edge map, never sets a peak above the extract that follows
+    assert embed_peak <= carrier_bytes + extract_peak
+
+
+def test_embed_peaks_below_extract_on_a_sparse_cover():
+    # 64-pixel tiles of flat colour: edges only along the tile seams
+    tiles = np.random.default_rng(1).integers(0, 256, (16, 16, 3), dtype=np.uint8)
+    image = RgbImage(np.ascontiguousarray(tiles.repeat(64, axis=0).repeat(64, axis=1)))
+    params = CannyParams(30, 5, 40)
+    assert carrier_count(detect_edges(image, params)) < 0.1 * 1024 * 1024
+    embed_peak, extract_peak, carrier_bytes = _embed_and_extract_peaks(image, params)
+    assert embed_peak <= carrier_bytes + extract_peak
 
 
 # ------------------------------------------------------------------- header
@@ -252,15 +272,15 @@ def test_payload_limit_reports_what_the_image_holds(monkeypatch):
     assert capacity_bytes(detect_edges(image, PARAMS)) == 545
 
 
-@pytest.mark.parametrize("chunk", [3, 8, codec._CHUNK])
-def test_chunk_seams_move_no_payload_bit(monkeypatch, chunk):
-    # embed scatters and extract gathers a chunk of carriers at a time; every
-    # carrier, on either side of a seam, gets its own three 3-bit fields
+@pytest.mark.parametrize("block_pixels", [1, 7, 64, _BLOCK_PIXELS])
+def test_block_seams_move_no_payload_bit(monkeypatch, block_pixels):
+    # embed scatters and extract gathers one row block of carriers at a time;
+    # every carrier, on either side of a seam, gets its own three 3-bit fields
     image = random_image(2, 36, 36)
     edges = detect_edges(image, PARAMS)
     payload = np.random.default_rng(3).integers(0, 256, capacity_bytes(edges),
                                                 dtype=np.uint8).tobytes()
-    monkeypatch.setattr(codec, "_CHUNK", chunk)
+    monkeypatch.setattr("edgestego.carrier._BLOCK_PIXELS", block_pixels)
     carrier = embed(image, payload, PARAMS)
     n = -(-8 * len(payload) // 9)
     ys, xs = np.nonzero(edges.membership[1:])
@@ -281,8 +301,7 @@ def test_geometry_rejections():
     with pytest.raises(ImageTooSmall):
         embed(RgbImage(np.zeros((2, 40, 3), dtype=np.uint8)), b"", PARAMS)
     narrow = random_image(9, 26, 30)  # one pixel short of the header row
-    carriers = carrier_arrays(detect_edges(narrow, PARAMS))
-    assert carriers.size > 0  # room for the payload, not for the header
+    assert carrier_count(detect_edges(narrow, PARAMS)) > 0  # room for the payload, not the header
     for call in (
         lambda: embed(narrow, b"x", PARAMS),
         lambda: extract(narrow),
@@ -298,7 +317,7 @@ def test_header_row_fits_a_cover_exactly_27_pixels_wide():
     assert extract(carrier) == (b"edge", PARAMS)
     report = {}
     assert embed(image, b"edge", PARAMS, report) == carrier
-    assert report == {"carriers": carrier_arrays(detect_edges(image, PARAMS)).size}
+    assert report == {"carriers": carrier_count(detect_edges(image, PARAMS))}
 
 
 def test_extract_from_plain_image_is_bad_magic():
