@@ -576,9 +576,9 @@ def hysteresis(thinned: np.ndarray, params: CannyParams) -> EdgeMap:
     edges = strong[1:-1]
     np.greater_equal(thinned, params.high_threshold, out=edges)
     blocks, forest, n_runs = [], [], 0
-    for y0 in range(0, height, rows):
+    for y0, y1 in _row_blocks(height, rows):
         # one call per block, so a block's temporaries are freed before the next
-        found = _scan_block(thinned, params, strong, y0, min(y0 + rows, height), n_runs)
+        found = _scan_block(thinned, params, strong, y0, y1, n_runs)
         if found is None:
             continue
         bounds, part = found

@@ -5,6 +5,7 @@ left-to-right). The whole first row (y == 0) is reserved for the embedded
 header and never carries payload, even where it contains edges. The
 capacity needs only ``carrier_count``; ``carrier_blocks`` walks just the
 carriers asked for, one row block at a time, and no index of them all is held.
+Each block comes with its offset, the count of carriers walked before it.
 """
 
 from __future__ import annotations
@@ -26,16 +27,17 @@ def carrier_count(edges: EdgeMap) -> int:
 
 
 def carrier_blocks(edges: EdgeMap, limit: int):
-    """Yield the first ``limit`` carriers as ascending intp flat indices y * width + x, one
-    ``_BLOCK_PIXELS`` row block at a time, ending with the block that reaches ``limit``."""
+    """Yield ``(start, index)`` per ``_BLOCK_PIXELS`` row block until ``limit`` carriers are
+    out: ``index`` lists the block's as ascending intp y * width + x, ``start`` is its offset."""
     rows = max(1, _BLOCK_PIXELS // edges.width)
+    start = 0
     for y0 in range(RESERVED_ROWS, edges.height, rows):
-        if limit <= 0:
+        if start >= limit:
             return
-        found = np.flatnonzero(edges.membership[y0 : y0 + rows])[:limit]
-        found += y0 * edges.width
-        limit -= found.size
-        yield found
+        index = np.flatnonzero(edges.membership[y0 : y0 + rows])[: limit - start]
+        index += y0 * edges.width
+        yield start, index
+        start += index.size
 
 
 def capacity_of(carriers: int) -> int:

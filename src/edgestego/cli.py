@@ -149,7 +149,8 @@ def _cmd_capacity(args) -> list[str]:
              f"capacity bits: {BITS_PER_CARRIER * carriers}",
              f"capacity bytes: {capacity_of(carriers)}"]
     if args.coords:
-        ys, xs = np.divmod(np.concatenate([*carrier_blocks(edges, args.coords)]), edges.width)
+        flat = np.concatenate([index for _, index in carrier_blocks(edges, args.coords)])
+        ys, xs = np.divmod(flat, edges.width)
         lines.append(" ; ".join(f"({x:03d},{y:03d})" for x, y in zip(xs.tolist(), ys.tolist())))
     return lines
 

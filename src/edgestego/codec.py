@@ -12,8 +12,8 @@ Wire format (a compatibility contract between conforming implementations):
   last three in B's. Carrier pixels are taken in row-major order from the
   recomputed edge map; a trailing partial group is zero-padded.
 
-Both operations count the carriers, then scatter or gather the payload's
-own as ``carrier_blocks`` yields them, one row block of intp indices at a time.
+Both operations count the carriers, then scatter or gather only the
+payload's along the walk of ``carrier.carrier_blocks`` (see ``carrier``).
 
 Extraction re-runs the detector on the carrier itself. That recovers the
 embedder's exact edge map because the detector masks channel bits 0..2
@@ -43,11 +43,11 @@ from .image import RgbImage
 
 HEADER_MAGIC = 0x5347  # "SG"
 HEADER_VERSION = 1
-HEADER_BITS = 80
-HEADER_PIXELS = 27  # ceil(80 / 3)
 MAX_PAYLOAD_BYTES = 2**32 - 1
 
 _HEADER_STRUCT = struct.Struct(">HBBBBI")
+HEADER_BITS = 8 * _HEADER_STRUCT.size
+HEADER_PIXELS = -(-HEADER_BITS // 3)  # bit 0 of each channel holds one
 
 
 @dataclass(frozen=True)
@@ -150,13 +150,11 @@ def embed(image: RgbImage, payload: bytes, params: CannyParams, report=None) -> 
     n = -(-8 * len(payload) // BITS_PER_CARRIER)  # whole carriers, one 3-bit field per channel
     fields = _to_fields(payload, 3, 3 * n)
     pixels = out.reshape(-1).view("V3")  # one 3-byte item per pixel
-    done = 0
-    for block in carrier_blocks(edges, n):
-        channels = np.take(pixels, block).view(np.uint8)  # masked and filled in place
+    for start, index in carrier_blocks(edges, n):
+        channels = np.take(pixels, index).view(np.uint8)  # masked and filled in place
         channels &= 0xF8
-        channels |= fields[3 * done : 3 * (done + block.size)]
-        np.put(pixels, block, channels.view(pixels.dtype))
-        done += block.size
+        channels |= fields[3 * start : 3 * (start + index.size)]
+        np.put(pixels, index, channels.view(pixels.dtype))
     return RgbImage(out)
 
 
@@ -173,8 +171,6 @@ def extract(carrier: RgbImage) -> tuple[bytes, CannyParams]:
     n = -(-8 * header.payload_len // BITS_PER_CARRIER)
     pixels = carrier.pixels.reshape(-1).view("V3")
     channels = np.empty(n, dtype=pixels.dtype)
-    done = 0
-    for block in carrier_blocks(edges, n):
-        channels[done : done + block.size] = np.take(pixels, block)
-        done += block.size
+    for start, index in carrier_blocks(edges, n):
+        np.take(pixels, index, out=channels[start : start + index.size])
     return _from_fields(channels.view(np.uint8), 3, header.payload_len), header.params

@@ -15,9 +15,20 @@ def _edge_map(width, height, coords):
     return EdgeMap(membership)
 
 
+def _blocks(edges, limit):
+    """The indices ``carrier_blocks`` yields, each block's ``start`` checked to be the
+    number of carriers in the blocks before it."""
+    blocks, walked = [], 0
+    for start, index in carrier.carrier_blocks(edges, limit):
+        assert start == walked
+        blocks.append(index)
+        walked += index.size
+    return blocks
+
+
 def _walk(edges, limit):
     """The blocks ``carrier_blocks`` yields, joined into one index."""
-    return np.concatenate([np.empty(0, np.intp), *carrier.carrier_blocks(edges, limit)])
+    return np.concatenate([np.empty(0, np.intp), *_blocks(edges, limit)])
 
 
 def _carriers(edges):
@@ -110,7 +121,7 @@ def test_index_matches_a_whole_image_flatnonzero(monkeypatch, block_pixels):
         rows = max(1, block_pixels // width)
         seam = np.count_nonzero(membership[1 : 1 + rows])
         for limit in (0, 1, seam, reference.size // 2, reference.size, reference.size + 5):
-            blocks = list(carrier.carrier_blocks(edges, limit))
+            blocks = _blocks(edges, limit)
             assert all(block.dtype == np.intp for block in blocks)
             assert np.array_equal(_walk(edges, limit), reference[:limit])
             for k, block in enumerate(blocks):  # block k holds row block k's carriers only

@@ -22,6 +22,7 @@ from edgestego import (
     embed,
     extract,
     read_header,
+    write_bmp,
 )
 from edgestego import codec
 from edgestego.carrier import _BLOCK_PIXELS, carrier_count
@@ -295,6 +296,41 @@ def test_carrier_reproduces_cover_edge_map():
     image = random_image(7, 34, 31)
     carrier = embed(image, b"\xa5" * 40, PARAMS)
     assert detect_edges(carrier, PARAMS) == detect_edges(image, PARAMS)
+
+
+# where a 48x60 image sits in an 80-wide array, as a view whose strides differ
+_LAYOUTS = {
+    "column-sliced": np.s_[:, 16:64],
+    "negative-stride": np.s_[::-1, 63:15:-1],
+    "channel-reversed": np.s_[:, 16:64, ::-1],
+    "fortran-ordered": None,
+}
+
+
+def _laid_out(pixels, layout):
+    """A non-C-contiguous array equal to ``pixels`` (60 rows of 48)."""
+    if layout is None:
+        return np.asfortranarray(pixels)
+    wide = random_image(13, 80, 60).pixels
+    wide[layout] = pixels
+    return wide[layout]
+
+
+@pytest.mark.parametrize("layout", _LAYOUTS.values(), ids=_LAYOUTS)
+def test_non_contiguous_images_match_their_contiguous_copy(layout):
+    # the walk feeds a reshape(-1).view("V3") gather and scatter, which must see
+    # each pixel's three channels whatever the image's memory layout
+    cover = RgbImage(random_image(11, 80, 60).pixels[:, 16:64].copy())
+    view = RgbImage(_laid_out(cover.pixels, layout))
+    assert not view.pixels.flags.c_contiguous and view == cover
+    edges = detect_edges(cover, PARAMS)
+    assert detect_edges(view, PARAMS) == edges
+    payload = np.random.default_rng(12).integers(0, 256, capacity_bytes(edges) - 3,
+                                                 dtype=np.uint8).tobytes()
+    carrier, stego = embed(cover, payload, PARAMS), embed(view, payload, PARAMS)
+    assert write_bmp(stego) == write_bmp(carrier)
+    assert extract(stego) == extract(carrier) == (payload, PARAMS)
+    assert extract(RgbImage(_laid_out(carrier.pixels, layout))) == (payload, PARAMS)
 
 
 def test_geometry_rejections():
