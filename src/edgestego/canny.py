@@ -21,16 +21,16 @@ cache: the gray and the smoothing on ``_BLOCK_ROWS`` rows, NMS on
 ``_BLOCK_PIXELS`` pixels and at least ``_BLOCK_ROWS`` rows, and Sobel the
 same but at most twice that; no output value depends on blocking. Sobel and
 non-maximum suppression read a block's neighbour rows from one reused
-bordered window; only the smoothing keeps a padded copy of the image. In
-``detect_edges`` the smoothing, Sobel and non-maximum suppression each write
-their output into the array they consumed. Every stage runs on the calling
-thread. Only the hysteresis labelling spans the image. It thresholds the
-strong pixels once, into a mask with a blank row above and below the image
-that is both the edge map and every block's seed source. It labels just the
-weak pixels, since strong pixels are edges whatever their neighbours, and it
-labels their runs along the rows, not single pixels, with numpy alone: a
-run's parent is the first run above that touches it, and the other runs
-above that touch it are merge pairs.
+bordered window; only the smoothing keeps a padded copy of the image. The
+smoothing, Sobel and non-maximum suppression each write their output over the
+array they consume, so a caller who needs a stage's input passes a copy.
+Every stage runs on the calling thread. Only the hysteresis labelling spans
+the image. It thresholds the strong pixels once, into a mask with a blank row
+above and below the image that is both the edge map and every block's seed
+source. It labels just the weak pixels, since strong pixels are edges
+whatever their neighbours, and it labels their runs along the rows, not
+single pixels, with numpy alone: a run's parent is the first run above that
+touches it, and the other runs above that touch it are merge pairs.
 """
 
 from __future__ import annotations
@@ -230,7 +230,7 @@ def _banded(taps: np.ndarray, n: int) -> np.ndarray:
     return matrix
 
 
-def smooth(gray: GrayImage, params: CannyParams, out: np.ndarray | None = None) -> GrayImage:
+def smooth(gray: GrayImage, params: CannyParams) -> GrayImage:
     """Separable Gaussian blur: horizontal pass, vertical pass, round to 8 bits.
 
     Borders clamp to the edge and each pass adds its taps in kernel order in
@@ -276,8 +276,8 @@ def smooth(gray: GrayImage, params: CannyParams, out: np.ndarray | None = None) 
     ``rows`` holds the horizontal sums a block's vertical pass reads; the
     last 2*radius of them carry over to the next block, and the first block
     computes its own. Ties are fixed once ``_TIE_CHUNK`` of them are found
-    and after the last block. The result is written into ``out`` when given,
-    which may be ``gray.values``: once the padded copy is made, only it is read.
+    and after the last block. The result is written over ``gray.values`` and
+    ``gray`` returned: once the padded copy is made, only it is read.
     """
     kernel = _KERNELS[params.sigma_tenths]
     taps = kernel.astype(np.float32)
@@ -285,7 +285,7 @@ def smooth(gray: GrayImage, params: CannyParams, out: np.ndarray | None = None) 
     cols = -(-width // _TILE) * _TILE
     across, down = _banded(taps, _TILE), _banded(taps, _BLOCK_ROWS).T
     padded = np.pad(gray.values, span // 2, mode="edge")
-    out = np.empty((gray.height, width), dtype=np.uint8) if out is None else out
+    out = gray.values
 
     source = np.zeros((_BLOCK_ROWS + span, cols + span), dtype=np.float32)
     rows = np.empty((_BLOCK_ROWS + span, cols), dtype=np.float32)
@@ -316,7 +316,7 @@ def smooth(gray: GrayImage, params: CannyParams, out: np.ndarray | None = None) 
         if sum(map(len, ties)) >= _TIE_CHUNK or y1 == gray.height:
             _fix_ties(padded, kernel, np.concatenate(ties), out)
             ties = []
-    return GrayImage(out)
+    return gray
 
 
 def _sobel(window: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -350,7 +350,7 @@ def _direction_bins(gx: np.ndarray, gy: np.ndarray, scratch: np.ndarray) -> np.n
     return bins
 
 
-def gradients(smoothed: GrayImage, out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+def gradients(smoothed: GrayImage) -> tuple[np.ndarray, np.ndarray]:
     """Sobel magnitude rescaled to 0..255 plus the quantized gradient direction.
 
     Returns uint8 (magnitude, direction); ``direction`` holds the bin angle in
@@ -359,9 +359,9 @@ def gradients(smoothed: GrayImage, out: np.ndarray | None = None) -> tuple[np.nd
     two thresholds live on a fixed 0..255 scale. Each block's Sobel reads an
     edge-clamped int16 window of its rows and the row either side, and the
     rescaled magnitudes are written over the rounded ones' own bytes, so no
-    whole-image temporary is made. The directions are written into ``out``
-    when given, which may be ``smoothed.values``: a block reads its row above
-    from the window before it, never from a row already overwritten.
+    whole-image temporary is made. The directions are written over
+    ``smoothed.values``: a block reads its row above from the window before
+    it, never from a row already overwritten.
 
     The rounding is in float32: gx**2 + gy**2 <= 2 * 1020**2 < 2**24, so the
     squares and their sum are exact there, and for every integer in that
@@ -370,7 +370,7 @@ def gradients(smoothed: GrayImage, out: np.ndarray | None = None) -> tuple[np.nd
     """
     values = smoothed.values
     raw = np.empty(values.shape, dtype=np.uint16)  # at most sqrt(2) * 1020
-    direction = np.empty_like(values) if out is None else out
+    direction = values
     rows = min(2 * _BLOCK_ROWS, max(_BLOCK_ROWS, _BLOCK_PIXELS // smoothed.width))
 
     # |gx|, |gy| <= 4 * 255 and every Sobel partial sum fit int16
@@ -411,20 +411,18 @@ def gradients(smoothed: GrayImage, out: np.ndarray | None = None) -> tuple[np.nd
     return magnitude, direction
 
 
-def non_max_suppression(magnitude: np.ndarray, direction: np.ndarray,
-                        out: np.ndarray | None = None) -> np.ndarray:
+def non_max_suppression(magnitude: np.ndarray, direction: np.ndarray) -> np.ndarray:
     """Zero every pixel that is below the larger neighbor along its direction bin.
 
     Out-of-bounds neighbors count as magnitude 0, so border pixels can survive.
     Each block compares against a zero-bordered window of its rows and the
-    row either side, reused from block to block. The result is written into
-    ``out`` when given, which may be ``direction``: a block's rows are
-    written only once their comparisons are done.
+    row either side, reused from block to block. The result is written over
+    ``direction``: a block's rows are written only once their comparisons
+    are done.
     """
     height, width = magnitude.shape
     rows = max(_BLOCK_ROWS, _BLOCK_PIXELS // width)
     frame = np.zeros((rows + 2, width + 2), dtype=np.uint8)
-    out = np.empty_like(magnitude) if out is None else out
     for y0, y1 in _row_blocks(height, rows):
         # rows y0-1..y1, zero outside the image; the border columns stay zero
         n = y1 - y0
@@ -439,8 +437,8 @@ def non_max_suppression(magnitude: np.ndarray, direction: np.ndarray,
                                           (90, (0, 1), (2, 1)), (135, (0, 0), (2, 2))):
             keep |= (d == angle) & (m >= np.maximum(p[r0 : r0 + n, c0 : c0 + width],
                                                     p[r1 : r1 + n, c1 : c1 + width]))
-        np.multiply(m, keep, out=out[y0:y1])
-    return out
+        np.multiply(m, keep, out=d)
+    return direction
 
 
 def _scan_block(thinned: np.ndarray, params: CannyParams, strong: np.ndarray, y0: int,
@@ -617,9 +615,6 @@ def detect_edges(image: RgbImage, params: CannyParams) -> EdgeMap:
     and images differing only in channel bits 0..2 give the same map.
     """
     check_min_size(image)
-    gray = to_masked_gray(image)
-    # smoothing, gradients and NMS each write over the gray's bytes, which hold the
-    # input that only that stage reads; nested, the magnitudes die with NMS's call
-    out = gray.values
-    thinned = non_max_suppression(*gradients(smooth(gray, params, out=out), out=out), out=out)
-    return hysteresis(thinned, params)
+    # nested, so the magnitudes are freed when NMS returns, before hysteresis
+    return hysteresis(non_max_suppression(*gradients(smooth(to_masked_gray(image), params))),
+                      params)

@@ -44,7 +44,7 @@ class ImageTooSmall(StegoError):
 
 
 class ImageTooNarrow(StegoError):
-    """Image narrower than the 27 pixels the header row needs."""
+    """Image narrower than the header row (``codec.HEADER_PIXELS`` pixels)."""
 
     remedy = "the header row needs 27 pixels; use an image at least 27 wide"
 

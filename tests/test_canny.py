@@ -33,7 +33,8 @@ import oracles
 
 
 def _gray(values):
-    return GrayImage(np.asarray(values, dtype=np.uint8))
+    # a copy: smooth and gradients write over the gray they are given
+    return GrayImage(np.array(values, dtype=np.uint8))
 
 
 # ---------------------------------------------------------------- parameters
@@ -127,9 +128,9 @@ def test_kernel_center_to_edge_ratio():
 def test_smooth_constant_is_fixed_point():
     # 70 rows cross two block seams; 0 and 255 sit at the ends of the rounding range
     for value, rows in itertools.product((0, 100, 255), (8, 70)):
-        gray = _gray(np.full((rows, 6), value))
+        flat = np.full((rows, 6), value)
         for tenths in range(10, 31):
-            assert smooth(gray, CannyParams(tenths, 0, 255)) == gray
+            assert smooth(_gray(flat), CannyParams(tenths, 0, 255)) == _gray(flat)
 
 
 def test_smooth_single_pixel_image():
@@ -414,7 +415,7 @@ def test_nms_matches_exhaustive_reference():
     for height, width in itertools.chain(small, seams):  # small is drawn as the loop runs
         magnitude = rng.integers(0, 256, (height, width), dtype=np.uint8)
         direction = rng.choice(np.array([0, 45, 90, 135], dtype=np.uint8), (height, width))
-        ours = non_max_suppression(magnitude, direction)
+        ours = non_max_suppression(magnitude, direction.copy())
         assert np.array_equal(ours, oracles.nms_reference(magnitude, direction))
 
 
@@ -641,12 +642,11 @@ def test_hysteresis_peak_memory_on_mostly_weak_maps(low):
 
 
 def test_gradients_and_nms_make_no_whole_image_copy():
-    # each stage's whole-image arrays are its outputs: 3 B/px for gradients
-    # (raw's uint16, whose bytes then hold the magnitudes, and the directions)
-    # and 1 B/px for NMS; a padded copy of the image would add 1 B/px to
-    # either, and a second magnitude array another 1 to gradients. Written
-    # into the array each consumed, gradients keeps raw alone and NMS nothing,
-    # and detect_edges peaks in gradients, holding raw beside the gray's bytes.
+    # each stage writes its output over the array it consumed, so the only
+    # whole-image array either makes is gradients' raw uint16, 2 B/px, whose
+    # bytes then hold the magnitudes; a padded copy of the image would add
+    # 1 B/px to either, and a second magnitude array another 1 to gradients.
+    # detect_edges peaks in gradients, holding raw beside the gray's bytes.
     # Sobel's block temporaries add 0.29 B/px here; int32 squares and a block's
     # gx and gy held into the next block's Sobel made it 0.44.
     rng = np.random.default_rng(5)
@@ -654,29 +654,23 @@ def test_gradients_and_nms_make_no_whole_image_copy():
     params = CannyParams(10, 5, 40)
     smoothed = smooth(to_masked_gray(image), params)
 
-    def peak_above_entry(stage, *args, **kwargs):
+    def peak_above_entry(stage, *args):
         tracemalloc.reset_peak()
         base = tracemalloc.get_traced_memory()[0]
-        result = stage(*args, **kwargs)
+        result = stage(*args)
         return tracemalloc.get_traced_memory()[1] - base, result
 
     tracemalloc.start()
     try:
         grad, (magnitude, direction) = peak_above_entry(gradients, smoothed)
         nms, _ = peak_above_entry(non_max_suppression, magnitude, direction)
-        grad_in_place, (magnitude, direction) = peak_above_entry(
-            gradients, smoothed, out=smoothed.values)
-        nms_in_place, _ = peak_above_entry(non_max_suppression, magnitude, direction,
-                                           out=direction)
         del magnitude, direction, _
         detect, _ = peak_above_entry(detect_edges, image, params)
     finally:
         tracemalloc.stop()
     size = smoothed.values.size
-    assert grad <= 3.4 * size
-    assert nms <= 1.5 * size
-    assert grad_in_place <= 2.4 * size
-    assert nms_in_place <= 0.2 * size
+    assert grad <= 2.4 * size
+    assert nms <= 0.2 * size
     assert detect <= 3.4 * size
 
 
@@ -711,27 +705,24 @@ def test_banded_stages_equal_one_band(monkeypatch, width, height, rows, tenths):
     params = CannyParams(tenths, 5, 40)
 
     def stages():
-        gray = to_masked_gray(image)
-        smoothed = smooth(gray, params)
-        magnitude, direction = gradients(smoothed)
-        inputs = [a.copy() for a in (gray.values, smoothed.values, magnitude, direction)]
-        thinned = non_max_suppression(magnitude, direction)
-        # without out= no stage wrote over its input
-        for array, copy in zip((gray.values, smoothed.values, magnitude, direction), inputs):
-            assert np.array_equal(array, copy)
-        # with out= naming the stage's own input (a copy here), each stage
-        # writes its result there and reads no row it has overwritten: the
-        # smoothing reads its padded copy, gradients carries the row above a
-        # block in its window, and NMS writes a block once its comparisons are done
-        g, s, _, d = inputs
-        in_place = (smooth(GrayImage(g), params, out=g).values, *gradients(GrayImage(s), out=s),
-                    non_max_suppression(magnitude, d, out=d))
-        wanted = (smoothed.values, magnitude, direction, thinned)
-        for got, want in zip(in_place, wanted, strict=True):
-            assert np.array_equal(got, want)
-        for got, buffer in zip((in_place[0], in_place[2], in_place[3]), (g, s, d)):
+        # each stage writes its result over its input and reads no row it has
+        # overwritten: the smoothing reads its padded copy, gradients carries the
+        # row above a block in its window, and NMS writes a block once its
+        # comparisons are done. Given copies, every stage's output is kept.
+        gray = to_masked_gray(image).values
+        g = gray.copy()
+        smoothed = smooth(GrayImage(g), params)
+        s = smoothed.values.copy()
+        magnitude, direction = gradients(GrayImage(s))
+        d = direction.copy()
+        thinned = non_max_suppression(magnitude, d)
+        for got, buffer in zip((smoothed.values, direction, thinned), (g, s, d)):
             assert np.shares_memory(got, buffer)
-        return (gray.values, smoothed.values, magnitude, direction, thinned,
+        # nested as in detect_edges, all three write over one gray
+        g = gray.copy()
+        nested = non_max_suppression(*gradients(smooth(GrayImage(g), params)))
+        assert np.array_equal(nested, thinned) and np.shares_memory(nested, g)
+        return (gray, smoothed.values, magnitude, direction, thinned,
                 detect_edges(image, params).membership)
 
     with monkeypatch.context() as patch:

@@ -198,10 +198,16 @@ def test_round_trip_randomized(seed, triple):
     assert recovered_params == params
 
 
-def test_embed_leaves_the_input_alone():
+@pytest.mark.parametrize("call", ["embed", "extract", "detect_edges"])
+def test_embed_leaves_the_input_alone(call):
+    # the detector's stages write over their input, but that input is the
+    # masked gray detect_edges makes for itself, never the image's pixels
     image = random_image(1, 30, 30)
+    if call == "extract":
+        image = embed(image, b"xyz", PARAMS)
     snapshot = image.pixels.copy()
-    embed(image, b"xyz", PARAMS)
+    {"embed": lambda: embed(image, b"xyz", PARAMS), "extract": lambda: extract(image),
+     "detect_edges": lambda: detect_edges(image, PARAMS)}[call]()
     assert np.array_equal(image.pixels, snapshot)
 
 
@@ -345,6 +351,9 @@ def test_geometry_rejections():
     ):
         with pytest.raises(ImageTooNarrow, match="^header row needs 27 pixels, image is 26 wide$"):
             call()
+    # errors cannot import codec, so the remedy restates HEADER_PIXELS in words
+    assert f"{codec.HEADER_PIXELS} pixels" in ImageTooNarrow.remedy
+    assert f"at least {codec.HEADER_PIXELS} wide" in ImageTooNarrow.remedy
 
 
 def test_header_row_fits_a_cover_exactly_27_pixels_wide():

@@ -244,20 +244,23 @@ def _stage_input(key):
     return _tall_cover(width, height), CannyParams(tenths, 5, 40)
 
 
-def _stage_hashes(gray, smoothed, magnitude, direction, thinned, edges):
-    return tuple(_sha256(data) for data in (
-        gray.tobytes(), smoothed.tobytes(), magnitude.tobytes() + direction.tobytes(),
-        thinned.tobytes(), np.packbits(edges).tobytes()))
+def _stage_hash(*arrays):
+    return _sha256(b"".join(array.tobytes() for array in arrays))
 
 
 def _stage_digests(cover, params):
-    """Each stage's digest as the package computes it."""
+    """Each stage's digest as the package computes it, taken before the next
+    stage writes over that stage's output."""
     gray = to_masked_gray(cover)
+    digests = [_stage_hash(gray.values)]
     smoothed = smooth(gray, params)
+    digests.append(_stage_hash(smoothed.values))
     magnitude, direction = gradients(smoothed)
+    digests.append(_stage_hash(magnitude, direction))
     thinned = non_max_suppression(magnitude, direction)
-    edges = hysteresis(thinned, params).membership
-    return _stage_hashes(gray.values, smoothed.values, magnitude, direction, thinned, edges)
+    digests.append(_stage_hash(thinned))
+    digests.append(_stage_hash(np.packbits(hysteresis(thinned, params).membership)))
+    return tuple(digests)
 
 
 def _reference_stage_digests(cover, params):
@@ -273,7 +276,8 @@ def _reference_stage_digests(cover, params):
     thinned = oracles.nms_reference(magnitude, direction)
     edges = oracles.hysteresis_dense_reference(thinned, params.low_threshold,
                                                params.high_threshold)
-    return _stage_hashes(gray, smoothed, magnitude, direction, thinned, edges)
+    return (_stage_hash(gray), _stage_hash(smoothed), _stage_hash(magnitude, direction),
+            _stage_hash(thinned), _stage_hash(np.packbits(edges)))
 
 
 def _assert_stages(key):
