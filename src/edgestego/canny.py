@@ -23,7 +23,8 @@ same but at most twice that; no output value depends on blocking. Sobel and
 non-maximum suppression read a block's neighbour rows from one reused
 bordered window; only the smoothing keeps a padded copy of the image. The
 smoothing, Sobel and non-maximum suppression each write their output over the
-array they consume, so a caller who needs a stage's input passes a copy.
+array they consume, in any memory layout but not read-only, so a caller who
+needs a stage's input passes a copy.
 Every stage runs on the calling thread. Only the hysteresis labelling spans
 the image. It thresholds the strong pixels once, into a mask with a blank row
 above and below the image that is both the edge map and every block's seed
@@ -198,18 +199,18 @@ _KERNELS = {tenths: np.array(h[:0:-1] + h) for tenths, h in enumerate(_HALF_TAPS
 
 
 def _fix_ties(padded: np.ndarray, kernel: np.ndarray, ties: np.ndarray, out: np.ndarray):
-    """Set the pixels at flat indices ``ties`` of ``out`` to the float64 smoothing.
+    """Set the pixels at row-major indices ``ties`` of ``out`` to the float64 smoothing.
 
     Each pixel's window of the edge-padded gray is gathered, summed along its
     rows and then down the row sums, both in tap order, plus 0.5 and
     truncated: the same float64 expression as ``smooth``'s definition.
+    ``out`` is indexed by (row, column), so any strides take the writes.
     """
     span, width = len(kernel) - 1, out.shape[1]
     windows = np.lib.stride_tricks.sliding_window_view(padded, (span + 1, span + 1))
-    pixels = out.reshape(-1)
     for i in range(0, len(ties), _TIE_CHUNK):
-        index = ties[i : i + _TIE_CHUNK]
-        window = windows[np.divmod(index, width)]  # uint8, one square per pixel
+        at = np.divmod(ties[i : i + _TIE_CHUNK], width)
+        window = windows[at]  # uint8, one square per pixel
         # the first product is kept as is: it equals 0.0 plus itself
         rows = window[:, :, 0] * kernel[0]
         for t in range(1, span + 1):
@@ -218,7 +219,7 @@ def _fix_ties(padded: np.ndarray, kernel: np.ndarray, ties: np.ndarray, out: np.
         for t in range(1, span + 1):
             sums += rows[:, t] * kernel[t]
         sums += 0.5
-        pixels[index] = sums  # the cast truncates: round half up
+        out[at] = sums  # the cast truncates: round half up
 
 
 def _banded(taps: np.ndarray, n: int) -> np.ndarray:
@@ -417,8 +418,9 @@ def non_max_suppression(magnitude: np.ndarray, direction: np.ndarray) -> np.ndar
     Out-of-bounds neighbors count as magnitude 0, so border pixels can survive.
     Each block compares against a zero-bordered window of its rows and the
     row either side, reused from block to block. The result is written over
-    ``direction``: a block's rows are written only once their comparisons
-    are done.
+    ``direction``, a writable uint8 array of ``magnitude``'s shape as
+    ``gradients`` returns it: a block's rows are written only once their
+    comparisons are done.
     """
     height, width = magnitude.shape
     rows = max(_BLOCK_ROWS, _BLOCK_PIXELS // width)
