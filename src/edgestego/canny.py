@@ -1,37 +1,15 @@
 """Deterministic five-stage Canny edge detector over a masked grayscale projection.
 
 The detector is the shared secret between the two communicating parties, so
-every stage is pinned down exactly. The Gaussian taps are a table of
-float64 literals, so no machine's ``exp`` computes them; floating point rounds
-only in the smoothing sums (float64, taps added in a fixed order), the gray
-projection's one division, one float32 square root and the direction bins' two
-float32 products per pixel, and IEEE 754 fixes all four. The smoothing evaluates
-its float64 sums in float32, as banded matrix products on numpy's BLAS, within a
-proven 6.3e-4 whatever order and FMA use the sgemm kernel has, and gives a pixel
-whose float32 value lies within ``_TIE`` (2**-10) of a rounding tie the float64
-expression itself, so the edge map is the same bit for bit whatever SIMD
-and BLAS kernels numpy uses. The gray projection is an integer formula
-whose float32 products and sums are exact in any order, being integers
-below 2**24, and so are the Sobel squares; the Sobel sums are int16, the
-direction bins exact float32 cone tests; every stage rounds back to integers.
-The gray projection zeroes the three LSBs of every channel first, so the whole
-pipeline is invariant under any payload written into those bits. Every
-stage works on blocks of rows, gathers included, so its temporaries stay in
-cache: the gray and the smoothing on ``_BLOCK_ROWS`` rows, NMS on
-``_BLOCK_PIXELS`` pixels and at least ``_BLOCK_ROWS`` rows, and Sobel the
-same but at most twice that; no output value depends on blocking. Sobel and
-non-maximum suppression read a block's neighbour rows from one reused
-bordered window; only the smoothing keeps a padded copy of the image. The
-smoothing, Sobel and non-maximum suppression each write their output over the
-array they consume, in any memory layout but not read-only, so a caller who
-needs a stage's input passes a copy.
-Every stage runs on the calling thread. Only the hysteresis labelling spans
-the image. It thresholds the strong pixels once, into a mask with a blank row
-above and below the image that is both the edge map and every block's seed
-source. It labels just the weak pixels, since strong pixels are edges
-whatever their neighbours, and it labels their runs along the rows, not
-single pixels, with numpy alone: a run's parent is the first run above that
-touches it, and the other runs above that touch it are merge pairs.
+every stage is pinned down exactly: equal images and parameters give the same
+edge map bit for bit on any machine, whatever SIMD and BLAS kernels numpy
+uses. The Gaussian taps are frozen float64 literals, and each stage's
+docstring shows why its arithmetic cannot move a bit. The gray projection
+zeroes the three LSBs of every channel first, so the whole pipeline is
+invariant under any payload written into those bits. The smoothing, Sobel and
+non-maximum suppression each write their output over the array they consume,
+in any memory layout but not read-only, so a caller who needs a stage's input
+passes a copy. Every stage runs on the calling thread.
 """
 
 from __future__ import annotations
@@ -44,10 +22,14 @@ import numpy as np
 from .errors import ImageTooSmall, ParamOutOfRange
 from .image import EdgeMap, GrayImage, RgbImage
 
-# The smoothing's vertical product multiplies a rows x (rows + 2r) band per
-# block, so its work grows with the block height: 64 and 128 rows ran slower.
-# Sobel and NMS pay per numpy call, so take _BLOCK_PIXELS // width rows, at least
-# _BLOCK_ROWS; Sobel at most 2 * _BLOCK_ROWS, lest it set the 512 x 512 peak.
+# The smoothing multiplies each block of _BLOCK_ROWS rows by one band of the
+# taps and by its transpose, on tiles of as many columns as the block has rows:
+# its work grows with the block height (64 and 128 rows ran slower, and 16, 48
+# and 64 columns no faster). Each product is then at most 50 x 50 x 32, below
+# OpenBLAS's threading threshold, so it runs on the calling thread like every
+# other stage. Sobel and NMS pay per numpy call, so take _BLOCK_PIXELS // width
+# rows, at least _BLOCK_ROWS; Sobel at most 2 * _BLOCK_ROWS, lest it set the
+# 512 x 512 peak.
 _BLOCK_ROWS = 32
 _BLOCK_PIXELS = 2**16
 # The hysteresis labelling scans an eighth of the rows at a time: few enough
@@ -63,11 +45,6 @@ _LABEL_BLOCK_PIXELS = 2**18
 # sigma 3.0 a chunk's windows and sums take about 1.5 MB.
 _TIE = 2.0**-10
 _TIE_CHUNK = 2048
-# The smoothing's matrix products work on tiles of _TILE columns. Each is then
-# at most 50 x 50 x 32, below OpenBLAS's threading threshold, so it runs on the
-# calling thread like every other stage (16, 48 and 64 columns measured no
-# faster).
-_TILE = 32
 # The masked gray's weights for the channels shifted right by 3 (to_masked_gray).
 _LUMA = np.array([2 * 299, 2 * 587, 2 * 114], dtype=np.float32)
 
@@ -222,15 +199,6 @@ def _fix_ties(padded: np.ndarray, kernel: np.ndarray, ties: np.ndarray, out: np.
         out[at] = sums  # the cast truncates: round half up
 
 
-def _banded(taps: np.ndarray, n: int) -> np.ndarray:
-    """The (n + span) x n matrix whose column i holds ``taps`` from row i on."""
-    matrix = np.zeros((n + len(taps) - 1, n), dtype=taps.dtype)
-    i = np.arange(n)
-    for t, tap in enumerate(taps):
-        matrix[i + t, i] = tap
-    return matrix
-
-
 def smooth(gray: GrayImage, params: CannyParams) -> GrayImage:
     """Separable Gaussian blur: horizontal pass, vertical pass, round to 8 bits.
 
@@ -241,10 +209,11 @@ def smooth(gray: GrayImage, params: CannyParams) -> GrayImage:
     floating-point filter in the sense of Shewchuk (Adaptive Precision
     Floating-Point Arithmetic and Fast Robust Geometric Predicates, DCG 1997).
 
-    Each float32 pass is a product with a banded matrix of the taps, run by
-    numpy's BLAS on tiles of ``_TILE`` columns: the horizontal pass multiplies
-    each tile's rows by ``_banded(taps, _TILE)``, the vertical pass the
-    block's ``_banded(taps, _BLOCK_ROWS).T`` by each tile of row sums. The
+    Both float32 passes are products with one ``band``, the
+    (``_BLOCK_ROWS`` + 2r) x ``_BLOCK_ROWS`` matrix whose column i holds the
+    taps from row i on, run by numpy's BLAS on tiles as wide as a block is
+    high: the horizontal pass multiplies each tile of a block's rows by
+    ``band``, the vertical pass ``band.T`` by each tile of row sums. The
     sgemm kernel may add its products in any order, in any tree, with or
     without FMA. Its bound holds for all of them:
 
@@ -271,8 +240,8 @@ def smooth(gray: GrayImage, params: CannyParams) -> GrayImage:
     The result depends on that bound alone, not on the BLAS kernel, so the
     edge map stays bit-identical whatever kernels numpy and OpenBLAS pick for
     the CPU. Columns alternating between two adjacent levels put every pixel
-    near a tie at sigma 3.0: at 2048 x 2048 they took 4130 ms to smooth, over
-    100 times the 31.5 ms of a photo-like cover, on a 2-core Xeon.
+    near a tie at sigma 3.0: at 2048 x 2048 they take over 100 times as long
+    to smooth as a photo-like cover.
 
     ``rows`` holds the horizontal sums a block's vertical pass reads; the
     last 2*radius of them carry over to the next block, and the first block
@@ -280,31 +249,32 @@ def smooth(gray: GrayImage, params: CannyParams) -> GrayImage:
     and after the last block. The result is written over ``gray.values`` and
     ``gray`` returned: once the padded copy is made, only it is read.
     """
-    kernel = _KERNELS[params.sigma_tenths]
-    taps = kernel.astype(np.float32)
+    kernel, tile = _KERNELS[params.sigma_tenths], _BLOCK_ROWS
     span, width = len(kernel) - 1, gray.width
-    cols = -(-width // _TILE) * _TILE
-    across, down = _banded(taps, _TILE), _banded(taps, _BLOCK_ROWS).T
+    cols = -(-width // tile) * tile
+    band = np.zeros((tile + span, tile), dtype=np.float32)
+    i = np.arange(tile)
+    band[i + np.arange(span + 1)[:, None], i] = kernel[:, None]
     padded = np.pad(gray.values, span // 2, mode="edge")
     out = gray.values
 
-    source = np.zeros((_BLOCK_ROWS + span, cols + span), dtype=np.float32)
-    rows = np.empty((_BLOCK_ROWS + span, cols), dtype=np.float32)
-    acc = np.empty((_BLOCK_ROWS, cols), dtype=np.float32)
+    source = np.zeros((tile + span, cols + span), dtype=np.float32)
+    rows = np.empty((tile + span, cols), dtype=np.float32)
+    acc = np.empty((tile, cols), dtype=np.float32)
     # the same buffers as stacks of tiles, made once: a view per block
     # would leave a few KB of freed Python objects on the free lists
-    windows = np.lib.stride_tricks.sliding_window_view(source, _TILE + span, axis=1)
-    windows = windows[:, ::_TILE].swapaxes(0, 1)
-    row_tiles, acc_tiles = (a.reshape(len(a), -1, _TILE).swapaxes(0, 1) for a in (rows, acc))
+    windows = np.lib.stride_tricks.sliding_window_view(source, tile + span, axis=1)
+    windows = windows[:, ::tile].swapaxes(0, 1)
+    row_tiles, acc_tiles = (a.reshape(len(a), -1, tile).swapaxes(0, 1) for a in (rows, acc))
     ties = []
-    for y0, y1 in _row_blocks(gray.height, _BLOCK_ROWS):
+    for y0, y1 in _row_blocks(gray.height, tile):
         n, done = y1 - y0, span if y0 else 0
         # overlap with the full block before
-        rows[:done] = rows[_BLOCK_ROWS : _BLOCK_ROWS + done]
+        rows[:done] = rows[tile : tile + done]
         m = n + span - done
         source[:m, : width + span] = padded[y0 + done : y1 + span]
-        np.matmul(windows[:, :m], across, out=row_tiles[:, done : n + span])
-        np.matmul(down[:n, : n + span], row_tiles[:, : n + span], out=acc_tiles[:, :n])
+        np.matmul(windows[:, :m], band, out=row_tiles[:, done : n + span])
+        np.matmul(band.T[:n, : n + span], row_tiles[:, : n + span], out=acc_tiles[:, :n])
         block = acc[:n, :width]
         # taps > 0 summing to 1 keep this in [0.5, 255.5 + 1e-3]: the cast rounds, no clip
         block += 0.5

@@ -78,10 +78,10 @@ class UnsupportedVersion(StegoError):
 
 
 class CorruptHeader(StegoError):
-    """The embedded header carries out-of-range parameter fields."""
+    """The embedded header's parameter fields are out of range or not the expected ones."""
 
     exit_code = 5
-    remedy = "the header bits are damaged; the carrier was modified in transit"
+    remedy = "the header's parameters are not the expected ones, or its bits were damaged"
 
 
 class TruncatedPayload(StegoError):

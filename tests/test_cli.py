@@ -161,11 +161,11 @@ _ERROR_CASES = {  # id: (argv, exit code, stderr with tmp_path written as {tmp})
     "expect-sigma-mismatch": (
         ["extract", "--in", "{carrier}", "--out", "{out}", "--expect-sigma", "2.0"], 5,
         "error: CorruptHeader: --expect-sigma mismatch: carrier header says 1.5, expected 2.0\n"
-        "remedy: the header bits are damaged; the carrier was modified in transit\n"),
+        "remedy: the header's parameters are not the expected ones, or its bits were damaged\n"),
     "expect-sigma-mismatch-2.3": (  # 2.3 has no exact binary fraction; tenths print exactly
         ["extract", "--in", "{carrier}", "--out", "{out}", "--expect-sigma", "2.3"], 5,
         "error: CorruptHeader: --expect-sigma mismatch: carrier header says 1.5, expected 2.3\n"
-        "remedy: the header bits are damaged; the carrier was modified in transit\n"),
+        "remedy: the header's parameters are not the expected ones, or its bits were damaged\n"),
     "metrics-size": (
         ["metrics", "--a", "{cover}", "--b", "{narrow}"], 3,
         "error: DimensionMismatch: 40x36 vs 10x36\n"
