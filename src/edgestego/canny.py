@@ -40,10 +40,8 @@ _BLOCK_PIXELS = 2**16
 # measured 1 ms faster than 8).
 _LABEL_BLOCKS = 8
 _LABEL_BLOCK_PIXELS = 2**18
-# A float32 smoothing sum within _TIE of a rounding boundary is recomputed in
-# float64 (the bound is derived in smooth), _TIE_CHUNK pixels at a time: at
+# smooth recomputes its near ties in float64 _TIE_CHUNK pixels at a time: at
 # sigma 3.0 a chunk's windows and sums take about 1.5 MB.
-_TIE = 2.0**-10
 _TIE_CHUNK = 2048
 # The masked gray's weights for the channels shifted right by 3 (to_masked_gray).
 _LUMA = np.array([2 * 299, 2 * 587, 2 * 114], dtype=np.float32)
@@ -218,30 +216,30 @@ def smooth(gray: GrayImage, params: CannyParams) -> GrayImage:
     without FMA. Its bound holds for all of them:
 
     1. A product with a zero tap is exactly 0, and adding 0, or an FMA whose
-       product is 0, is exact. So every output is a sum of at most 19
-       non-zero, non-negative products of a tap and a value in 0..255, with
-       taps that sum to 1, evaluated in some tree. This needs every value
-       a zero tap meets to be finite (0 * NaN is NaN), so the spare columns
-       of ``source`` past the padded image are zeros.
-    2. Rounding the taps, the products and the partial sums of such a sum
-       costs at most gamma_20 = 20 units of 2**-24 relative to it, whatever
-       the order (Higham, Accuracy and Stability of Numerical Algorithms,
-       2002, sections 3.1 and 4.2), so each pass errs by at most
-       20 * 2**-24 * 255 = 3.0e-4 against exact arithmetic on the float64
-       taps, and both passes by 6.1e-4, since the vertical pass's taps also
-       sum to 1 and carry the horizontal error through unscaled.
-    3. The float64 sums err by about 1e-12 and the float32 ``+ 0.5`` by at
-       most 2**-16, so the two values differ by less than 6.3e-4, below
-       ``_TIE`` = 2**-10 (9.8e-4). A float32 value at least ``_TIE`` from
-       every integer after the ``+ 0.5`` therefore truncates as the float64
-       one does; the rest, about 0.2% of the pixels of smooth or noisy
-       covers, are recomputed.
+       product is 0, is exact. So every output sums the K = 2r + 1
+       non-negative products of a tap and a value in 0..255, taps summing to
+       1, in a tree where at most K - 1 additions round. This needs every
+       value a zero tap meets to be finite (0 * NaN is NaN), so the spare
+       columns of ``source`` past the padded image are zeros.
+    2. Every partial sum is below 256, so each such addition rounds by at
+       most 2**-17, and the float32 taps and products by 2**-24 relative
+       each, over a sum of at most 255: a pass errs by at most
+       (K - 1) * 2**-17 + 510 * 2**-24 against exact arithmetic on the
+       float64 taps, both passes by twice that (the vertical taps sum to 1
+       and carry the horizontal error through).
+    3. Adding the float32 offset costs 2**-17 more, and a factor 1 + 2**-10
+       covers second-order terms, the float64 sums' own error (about 1e-12)
+       and the offset's rounding. So ``tie``, 1.60e-4 at sigma 1.0 to
+       3.43e-4 at 3.0, bounds the distance between the float32 and float64
+       values. With ``tie`` added to the 0.5, a float32 value whose fraction
+       is at least 2 ``tie`` truncates as the float64 one does; the rest,
+       about 0.03% of the pixels of smooth or noisy covers at sigma 1.0 and
+       0.07% at 3.0, are recomputed.
 
-    The result depends on that bound alone, not on the BLAS kernel, so the
-    edge map stays bit-identical whatever kernels numpy and OpenBLAS pick for
-    the CPU. Columns alternating between two adjacent levels put every pixel
-    near a tie at sigma 3.0: at 2048 x 2048 they take over 100 times as long
-    to smooth as a photo-like cover.
+    So the result depends on that bound alone, not on the kernels numpy and
+    OpenBLAS pick for the CPU. Columns alternating between two adjacent levels
+    put every pixel near a tie at sigma 2.9 (none at 3.0): at 2048 x 2048
+    they take over 100 times as long to smooth as a photo-like cover.
 
     ``rows`` holds the horizontal sums a block's vertical pass reads; the
     last 2*radius of them carry over to the next block, and the first block
@@ -251,6 +249,7 @@ def smooth(gray: GrayImage, params: CannyParams) -> GrayImage:
     """
     kernel, tile = _KERNELS[params.sigma_tenths], _BLOCK_ROWS
     span, width = len(kernel) - 1, gray.width
+    tie = 2 * (span * 2.0**-17 + 510 * 2.0**-24) * (1 + 2.0**-10) + 2.0**-17
     cols = -(-width // tile) * tile
     band = np.zeros((tile + span, tile), dtype=np.float32)
     i = np.arange(tile)
@@ -276,13 +275,11 @@ def smooth(gray: GrayImage, params: CannyParams) -> GrayImage:
         np.matmul(windows[:, :m], band, out=row_tiles[:, done : n + span])
         np.matmul(band.T[:n, : n + span], row_tiles[:, : n + span], out=acc_tiles[:, :n])
         block = acc[:n, :width]
-        # taps > 0 summing to 1 keep this in [0.5, 255.5 + 1e-3]: the cast rounds, no clip
-        block += 0.5
+        # taps > 0 summing to 1 keep this in [0.5, 255.6]: the cast truncates, no clip
+        block += 0.5 + tie
         out[y0:y1] = block
         block -= out[y0:y1]  # the fraction, exactly
-        near = block < _TIE
-        near |= block > 1 - _TIE
-        ties.append(np.flatnonzero(near) + y0 * width)
+        ties.append(np.flatnonzero(block < 2 * tie) + y0 * width)
         # fixed a chunk's worth at a time, so the indices kept stay few
         if sum(map(len, ties)) >= _TIE_CHUNK or y1 == gray.height:
             _fix_ties(padded, kernel, np.concatenate(ties), out)
@@ -301,23 +298,28 @@ def _sobel(window: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return dx[:-2] + 2 * dx[1:-1] + dx[2:], sy[:-2] - sy[2:]
 
 
-def _direction_bins(gx: np.ndarray, gy: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+def _direction_bins(gx: np.ndarray, gy: np.ndarray, squares: np.ndarray,
+                    ratio: np.ndarray) -> np.ndarray:
     """The nearest of 0/45/90/135 degrees to the direction of (gx, gy), exactly.
 
-    Overwrites ``gx`` and ``gy`` with x = |gx| and y = |gy|, and the float32
-    ``scratch`` of their shape. With t = sqrt(2) - 1, the direction is within
-    22.5 degrees of the vertical when x < t y, and of the horizontal unless
-    y > t x; (0, 0) meets neither and bins to 0. Otherwise neither is 0, and
-    whether their signs differ picks the diagonal. In float32, with t rounded
-    to float32, the tests are exact: for integers x, y <= 1020, not both 0,
-    |y - t x| >= 3.59e-4 (closest at x = 985), and the float32 product errs
-    by at most 2.1e-5 (1020 times t's rounding error plus half an ulp below 512).
+    Writes gx**2 + gy**2 into the float32 ``squares`` and r = gy**2 / that
+    into the float32 ``ratio``. The direction is within 22.5 degrees of the
+    vertical when r > cos(22.5)**2, of the horizontal unless r > sin(22.5)**2,
+    else on the diagonal the signs of gx and gy pick. The squares and their
+    sum are integers below 2**24, exact in float32, and the division is
+    correctly rounded, so with the constants in float32 the tests are exact:
+    for |gx|, |gy| <= 1020, not both 0, r lies at least 2.58e-7 relatively
+    from either (closest at 408, 985), and the two roundings move it by at
+    most 1.1e-7. At (0, 0) r is NaN (0 / 0), which meets neither test: bin 0.
     """
-    t = np.float32(np.sqrt(2) - 1)
+    cos2, sin2 = np.float32((2 + np.sqrt(2)) / 4), np.float32((2 - np.sqrt(2)) / 4)
+    np.square(gx, out=squares, dtype=np.float32)  # casts faster than np.multiply(gx, gx)
+    squares += np.square(gy, out=ratio, dtype=np.float32)
+    with np.errstate(invalid="ignore"):
+        ratio /= squares
     bins = 45 + 90 * ((gx ^ gy) < 0).view(np.uint8)  # 135 where the signs differ, else 45
-    x, y = np.abs(gx, out=gx), np.abs(gy, out=gy)
-    bins -= (x < np.multiply(y, t, out=scratch)) * (bins - 90)  # the uint8 difference wraps: 90
-    bins *= y > np.multiply(x, t, out=scratch)  # and this sets 0
+    bins -= (ratio > cos2) * (bins - 90)  # the uint8 difference wraps: 90
+    bins *= ratio > sin2  # and this sets 0
     return bins
 
 
@@ -334,10 +336,9 @@ def gradients(smoothed: GrayImage) -> tuple[np.ndarray, np.ndarray]:
     ``smoothed.values``: a block reads its row above from the window before
     it, never from a row already overwritten.
 
-    The rounding is in float32: gx**2 + gy**2 <= 2 * 1020**2 < 2**24, so the
-    squares and their sum are exact there, and for every integer in that
-    range the correctly rounded root plus 0.5 truncates as the float64 form
-    does (a test checks all).
+    The rounding is in float32: gx**2 + gy**2 <= 2 * 1020**2 < 2**24 is exact
+    there, and for every integer in that range the correctly rounded root
+    plus 0.5 truncates as the float64 form does (a test checks all).
     """
     values = smoothed.values
     raw = np.empty(values.shape, dtype=np.uint16)  # at most sqrt(2) * 1020
@@ -347,7 +348,7 @@ def gradients(smoothed: GrayImage) -> tuple[np.ndarray, np.ndarray]:
     # |gx|, |gy| <= 4 * 255 and every Sobel partial sum fit int16
     frame = np.empty((rows + 2, smoothed.width + 2), dtype=np.int16)
     root = np.empty((rows, smoothed.width), dtype=np.float32)
-    acc = np.empty((rows, smoothed.width), dtype=np.uint32)  # gy**2, the cone tests, rescaling
+    acc = np.empty((rows, smoothed.width), dtype=np.uint32)  # the direction ratio, rescaling
     for y0, y1 in _row_blocks(smoothed.height, rows):
         # rows y0-1..y1 and the columns either side, clamped to the image
         n = y1 - y0
@@ -359,13 +360,11 @@ def gradients(smoothed: GrayImage) -> tuple[np.ndarray, np.ndarray]:
         window[:, 0] = window[:, 1]
         window[:, -1] = window[:, -2]
         gx, gy = _sobel(window)
-        block, scratch = root[:n], acc[:n].view(np.float32)
-        np.multiply(gx, gx, out=block, dtype=np.float32)
-        block += np.multiply(gy, gy, out=scratch, dtype=np.float32)
+        block = root[:n]
+        direction[y0:y1] = _direction_bins(gx, gy, block, acc[:n].view(np.float32))
         np.sqrt(block, out=block)
         block += 0.5
         raw[y0:y1] = block  # the cast truncates: round half up
-        direction[y0:y1] = _direction_bins(gx, gy, scratch)
         del gx, gy  # so the next block's Sobel never runs beside them
 
     # round-half-up of 255*raw/peak in integer arithmetic; 510 * 1443 + 1443

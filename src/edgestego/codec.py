@@ -148,12 +148,13 @@ def embed(image: RgbImage, payload: bytes, params: CannyParams, report=None) -> 
     row[:HEADER_BITS] = (row[:HEADER_BITS] & 0xFE) | _to_fields(header, 1, HEADER_BITS)
 
     n = -(-8 * len(payload) // BITS_PER_CARRIER)  # whole carriers, one 3-bit field per channel
-    fields = _to_fields(payload, 3, 3 * n)
-    pixels = out.reshape(-1).view("V3")  # one 3-byte item per pixel
+    pixels, data = out.reshape(-1).view("V3"), memoryview(payload)  # one 3-byte item per pixel
     for start, index in carrier_blocks(edges, n):
+        first = start - start % 8  # 8 carriers take 9 whole bytes: pack from start's group
+        fields = _to_fields(data[9 * first // 8 :], 3, 3 * (start + index.size - first))
         channels = np.take(pixels, index).view(np.uint8)  # masked and filled in place
         channels &= 0xF8
-        channels |= fields[3 * start : 3 * (start + index.size)]
+        channels |= fields[3 * (start - first) :]
         np.put(pixels, index, channels.view(pixels.dtype))
     return RgbImage(out)
 
