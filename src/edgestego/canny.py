@@ -10,6 +10,11 @@ invariant under any payload written into those bits. The smoothing, Sobel and
 non-maximum suppression each write their output over the array they consume,
 in any memory layout but not read-only, so a caller who needs a stage's input
 passes a copy. Every stage runs on the calling thread.
+
+Given how many edge pixels below row 0 a caller reads, top to bottom as the
+codec reads carriers, ``detect_edges`` stops NMS and hysteresis at a row that
+no weak component crosses, once the strong pixels above it are enough: the
+rows returned equal the whole map's (``detect_edges`` states the rule).
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .carrier import RESERVED_ROWS
 from .errors import ImageTooSmall, ParamOutOfRange
 from .image import EdgeMap, GrayImage, RgbImage
 
@@ -381,7 +387,28 @@ def gradients(smoothed: GrayImage) -> tuple[np.ndarray, np.ndarray]:
     return magnitude, direction
 
 
-def non_max_suppression(magnitude: np.ndarray, direction: np.ndarray) -> np.ndarray:
+def _cut(thinned: np.ndarray, y0: int, params: CannyParams, need: int):
+    """The stop rule on the thinned rows of one block from row ``y0``: (need left, cut).
+
+    The strong pixels below row 0 count ``need`` down; from the row where it
+    reaches 0, the first row with no weak pixel is the cut, or None.
+    """
+    low, high, r = params.low_threshold, params.high_threshold, 0
+    if need > 0:
+        strong = thinned >= high
+        strong[: max(RESERVED_ROWS - y0, 0)] = False
+        count = np.count_nonzero(strong)  # by row only in the block that meets need
+        if count < need:
+            return need - count, None
+        r = int(np.searchsorted(np.cumsum(np.count_nonzero(strong, axis=1)), need))
+    # low <= v < high as one uint8 difference: values below low wrap past 255 - low
+    weak = thinned[r:] - np.uint8(low) < high - low
+    free = np.flatnonzero(~weak.any(axis=1))
+    return 0, (y0 + r + int(free[0]) if free.size else None)
+
+
+def non_max_suppression(magnitude: np.ndarray, direction: np.ndarray,
+                        params: CannyParams | None = None, need: int | None = None) -> np.ndarray:
     """Zero every pixel that is below the larger neighbor along its direction bin.
 
     Out-of-bounds neighbors count as magnitude 0, so border pixels can survive.
@@ -390,6 +417,9 @@ def non_max_suppression(magnitude: np.ndarray, direction: np.ndarray) -> np.ndar
     ``direction``, a writable uint8 array of ``magnitude``'s shape as
     ``gradients`` returns it: a block's rows are written only once their
     comparisons are done.
+
+    Given ``need`` and ``params``, the blocks stop at the stop rule's row
+    (see ``detect_edges``), and only the rows down to it are returned.
     """
     height, width = magnitude.shape
     rows = max(_BLOCK_ROWS, _BLOCK_PIXELS // width)
@@ -409,6 +439,10 @@ def non_max_suppression(magnitude: np.ndarray, direction: np.ndarray) -> np.ndar
             keep |= (d == angle) & (m >= np.maximum(p[r0 : r0 + n, c0 : c0 + width],
                                                     p[r1 : r1 + n, c1 : c1 + width]))
         np.multiply(m, keep, out=d)
+        if need is not None:
+            need, cut = _cut(d, y0, params, need)
+            if cut is not None:
+                return direction[: cut + 1]
     return direction
 
 
@@ -579,13 +613,23 @@ def hysteresis(thinned: np.ndarray, params: CannyParams) -> EdgeMap:
     return EdgeMap(edges)
 
 
-def detect_edges(image: RgbImage, params: CannyParams) -> EdgeMap:
+def detect_edges(image: RgbImage, params: CannyParams, need: int | None = None) -> EdgeMap:
     """Run the full five-stage detector on the masked grayscale projection.
 
     Pure and deterministic: equal image/params give bit-identical edge maps,
     and images differing only in channel bits 0..2 give the same map.
+
+    Given ``need``, the map may cover only rows 0..s, equal to those rows of
+    the whole map and holding at least ``need`` edge pixels below row 0.
+    Let r be the first row such that rows 1..r hold ``need`` strong pixels,
+    which are edges whatever their neighbours, and s the first row at or
+    after r with no weak pixel. No weak component crosses row s, so each
+    weak pixel above it is linked or dropped by the strong pixels of rows
+    0..s alone: NMS stops at s and hysteresis runs on rows 0..s. Without
+    such an s, every row is detected. Gray, smoothing and gradients always
+    span the image, since the rescale reads the image's peak.
     """
     check_min_size(image)
     # nested, so the magnitudes are freed when NMS returns, before hysteresis
-    return hysteresis(non_max_suppression(*gradients(smooth(to_masked_gray(image), params))),
-                      params)
+    return hysteresis(non_max_suppression(*gradients(smooth(to_masked_gray(image), params)),
+                                          params, need), params)

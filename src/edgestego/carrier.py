@@ -45,6 +45,11 @@ def capacity_of(carriers: int) -> int:
     return BITS_PER_CARRIER * carriers // 8
 
 
+def carriers_for(size: int) -> int:
+    """Carrier pixels that ``size`` payload bytes take: ceil(8 * size / 9)."""
+    return -(-8 * size // BITS_PER_CARRIER)
+
+
 def capacity_bytes(edges: EdgeMap) -> int:
     """Whole payload bytes the carriers can hold: floor(9 * carriers / 8)."""
     return capacity_of(carrier_count(edges))

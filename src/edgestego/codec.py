@@ -12,8 +12,13 @@ Wire format (a compatibility contract between conforming implementations):
   last three in B's. Carrier pixels are taken in row-major order from the
   recomputed edge map; a trailing partial group is zero-padded.
 
-Both operations count the carriers, then scatter or gather only the
-payload's along the walk of ``carrier.carrier_blocks`` (see ``carrier``).
+Both operations pass the detector the payload's carrier count, so its map
+may stop at a row below the last carrier (see ``detect_edges``). They count
+the carriers of the rows detected, then scatter or gather only the payload's
+along the walk of ``carrier.carrier_blocks`` (see ``carrier``). A map that
+stops early holds the payload, so a capacity or truncation error always
+reports the whole image's capacity. ``embed`` given a ``report`` detects
+every row.
 
 Extraction re-runs the detector on the carrier itself. That recovers the
 embedder's exact edge map because the detector masks channel bits 0..2
@@ -29,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .canny import CannyParams, check_min_size, detect_edges
-from .carrier import BITS_PER_CARRIER, capacity_of, carrier_blocks, carrier_count
+from .carrier import capacity_of, carrier_blocks, carrier_count, carriers_for
 from .errors import (
     BadMagic,
     CapacityExceeded,
@@ -132,10 +137,12 @@ def embed(image: RgbImage, payload: bytes, params: CannyParams, report=None) -> 
 
     Only bit 0 of the 27 header pixels in row 0 and bits 0..2 of the carrier
     pixels that actually receive payload are modified. A ``report`` dict, if
-    given, receives the cover's carrier count under ``"carriers"``.
+    given, receives the cover's carrier count under ``"carriers"``; the
+    detector then runs on every row.
     """
     check_geometry(image)  # before the detector, which a too-narrow cover would waste
-    edges = detect_edges(image, params)
+    n = carriers_for(len(payload))  # whole carriers, one 3-bit field per channel
+    edges = detect_edges(image, params, None if report is not None else n)
     carriers = carrier_count(edges)
     if report is not None:
         report["carriers"] = carriers
@@ -147,7 +154,6 @@ def embed(image: RgbImage, payload: bytes, params: CannyParams, report=None) -> 
     row = out[0].reshape(-1)  # 80 header bits for the first 80 channel slots
     row[:HEADER_BITS] = (row[:HEADER_BITS] & 0xFE) | _to_fields(header, 1, HEADER_BITS)
 
-    n = -(-8 * len(payload) // BITS_PER_CARRIER)  # whole carriers, one 3-bit field per channel
     pixels, data = out.reshape(-1).view("V3"), memoryview(payload)  # one 3-byte item per pixel
     for start, index in carrier_blocks(edges, n):
         first = start - start % 8  # 8 carriers take 9 whole bytes: pack from start's group
@@ -162,14 +168,14 @@ def embed(image: RgbImage, payload: bytes, params: CannyParams, report=None) -> 
 def extract(carrier: RgbImage) -> tuple[bytes, CannyParams]:
     """Recover (payload, params) from a carrier produced by :func:`embed`."""
     header = read_header(carrier)
-    edges = detect_edges(carrier, header.params)
+    n = carriers_for(header.payload_len)
+    edges = detect_edges(carrier, header.params, n)
     capacity = capacity_of(carrier_count(edges))
     if header.payload_len > capacity:
         raise TruncatedPayload(
             f"header claims {header.payload_len} bytes but the carrier holds {capacity}"
         )
 
-    n = -(-8 * header.payload_len // BITS_PER_CARRIER)
     pixels = carrier.pixels.reshape(-1).view("V3")
     channels = np.empty(n, dtype=pixels.dtype)
     for start, index in carrier_blocks(edges, n):

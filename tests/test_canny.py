@@ -755,9 +755,13 @@ def test_gradients_and_nms_make_no_whole_image_copy():
     # to any of them, and a second magnitude array another 1 to gradients.
     # detect_edges peaks in gradients, holding raw beside the gray's bytes.
     # Sobel's block temporaries add 0.29 B/px here; int32 squares and a block's
-    # gx and gy held into the next block's Sobel made it 0.44.
+    # gx and gy held into the next block's Sobel made it 0.44. The early stop
+    # adds only per-block masks: a flat band makes rows with no weak pixel.
     rng = np.random.default_rng(5)
     image = RgbImage(rng.integers(0, 256, (2048, 2048, 3), dtype=np.uint8))
+    banded = image.pixels.copy()
+    banded[1000:1040] = 128
+    banded = RgbImage(banded)
     params = CannyParams(10, 5, 40)
     smoothed = smooth(to_masked_gray(image), params)
 
@@ -774,6 +778,7 @@ def test_gradients_and_nms_make_no_whole_image_copy():
         nms, _ = peak_above_entry(non_max_suppression, magnitude, direction)
         del magnitude, direction, _
         detect, _ = peak_above_entry(detect_edges, image, params)
+        early, stopped = peak_above_entry(detect_edges, banded, params, 1000)
     finally:
         tracemalloc.stop()
     size = smoothed.values.size
@@ -781,6 +786,7 @@ def test_gradients_and_nms_make_no_whole_image_copy():
     assert grad <= 2.4 * size
     assert nms <= 0.2 * size
     assert detect <= 3.4 * size
+    assert 1000 <= stopped.height < 1040 and early <= 3.4 * size
 
 
 # ------------------------------------------------------------ row bands
@@ -880,6 +886,65 @@ def test_half_plane_step_yields_one_tight_vertical_edge():
         assert set(ys.tolist()) == set(range(height))  # spans every row
         assert np.all(np.abs(xs - step) <= 2)  # hugs the boundary
         assert oracles.count_components(edges.membership) == 1
+
+
+def test_nms_stops_at_the_first_weak_free_row_below_the_strong_count():
+    # horizontal bins: each row is thinned on its own, and level rows survive
+    # whole. Row 0's strong pixels are not counted; row 1 holds 4 strong pixels
+    # and weak ones; rows 2 and 3 are weak at low and at high - 1; row 4, at
+    # low - 1, is the first row without a weak pixel
+    params = CannyParams(10, 10, 50)
+    magnitude = np.array([[50] * 8, [50] * 4 + [10] * 4, [10] * 8, [49] * 8, [9] * 8, [10] * 8],
+                         dtype=np.uint8)
+    whole = non_max_suppression(magnitude, np.zeros_like(magnitude))
+    for need, rows in ((0, 1), (1, 5), (4, 5), (5, 6)):
+        thinned = non_max_suppression(magnitude, np.zeros_like(magnitude), params, need)
+        assert np.array_equal(thinned, whole[:rows]), need
+
+
+def _rows_of_an_early_stop(image, params, need):
+    """The height of ``detect_edges(image, params, need)``, checked against the
+    whole map: the same rows, holding ``need`` carriers below row 0 or all rows."""
+    whole = detect_edges(image, params).membership
+    rows = detect_edges(image, params, need).membership
+    assert np.array_equal(rows, whole[: len(rows)])
+    assert len(rows) == len(whole) or np.count_nonzero(rows[1:]) >= need
+    return len(rows)
+
+
+@pytest.mark.parametrize("kind", ["noise", "photo"])
+def test_early_stop_gives_the_rows_of_the_whole_map(kind):
+    rng = np.random.default_rng(41)
+    heights = set()
+    for size, tenths, low, high in ((96, 10, 5, 40), (128, 15, 10, 50), (160, 30, 20, 60),
+                                    (128, 20, 40, 120), (100, 10, 60, 200)):
+        pixels = (rng.integers(0, 256, (size, size + 7, 3), dtype=np.uint8) if kind == "noise"
+                  else _photo_like(rng, size))
+        image, params = RgbImage(pixels), CannyParams(tenths, low, high)
+        for need in (0, 1, 30, 300, 3000):
+            heights.add(_rows_of_an_early_stop(image, params, need) / size)
+        # more than the image's strong pixels below row 0: never met, so every row
+        thinned = non_max_suppression(*gradients(smooth(to_masked_gray(image), params)))
+        need = int(np.count_nonzero(thinned[1:] >= high)) + 1
+        assert _rows_of_an_early_stop(image, params, need) == size
+    # both kinds stop early on some cases and run to the last row on others
+    assert 1.0 in heights and min(heights) < 0.1
+
+
+def test_early_stop_needs_a_row_without_weak_pixels():
+    # a +16 step from column 64 puts a weak pixel on every row, and a +120 box
+    # in rows 4..19 gives over 20 strong pixels near the top: no row cuts the
+    # weak components, so the map runs to the last row
+    gray = np.full((256, 128), 96, dtype=np.uint8)
+    gray[:, 64:] += 16
+    gray[4:20, 16:48] += 120
+    image = RgbImage(np.repeat(gray[:, :, None], 3, axis=2))
+    for low, high in ((5, 100), (10, 120), (5, 60)):
+        params = CannyParams(30, low, high)
+        thinned = non_max_suppression(*gradients(smooth(to_masked_gray(image), params)))
+        assert np.all(np.any((thinned >= low) & (thinned < high), axis=1))
+        assert np.count_nonzero(thinned[1:20] >= high) >= 20
+        assert _rows_of_an_early_stop(image, params, 20) == 256
 
 
 @settings(max_examples=25, deadline=None)

@@ -76,6 +76,14 @@ def test_capacity_of_5630_carriers():
     assert capacity_bytes(edges) == 6333
 
 
+@given(st.integers(0, 2**32 - 1))
+def test_carriers_for_is_the_fewest_that_hold_the_payload(size):
+    # ceil(8 * size / 9): enough carriers for size bytes, and one fewer is not
+    n = carrier.carriers_for(size)
+    assert carrier.capacity_of(n) >= size
+    assert n == 0 or carrier.capacity_of(n - 1) < size
+
+
 @given(st.integers(1, 12), st.integers(1, 12), st.integers(0, 2**32 - 1))
 def test_capacity_matches_bit_counting(width, height, seed):
     rng = np.random.default_rng(seed)

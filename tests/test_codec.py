@@ -25,7 +25,7 @@ from edgestego import (
     write_bmp,
 )
 from edgestego import codec
-from edgestego.carrier import _BLOCK_PIXELS, carrier_count
+from edgestego.carrier import _BLOCK_PIXELS, capacity_of, carrier_count, carriers_for
 from edgestego.codec import StegoHeader, _from_fields, _to_fields
 from helpers import random_image, write_row0_bits
 import oracles
@@ -277,6 +277,34 @@ def test_payload_limit_reports_what_the_image_holds(monkeypatch):
             embed(image, bytes(payload), PARAMS)
         assert excinfo.value.available == available
     assert capacity_bytes(detect_edges(image, PARAMS)) == 545
+
+
+def test_early_stop_leaves_errors_and_reports_whole_image():
+    # a box near the top and one below on a flat cover: a small payload's
+    # carriers end above a row with no weak pixel, so the detector stops there;
+    # a payload one byte over capacity needs more carriers than the strong
+    # pixels, so its map covers every row, as does embed's given a report
+    pixels = np.full((96, 64, 3), 100, dtype=np.uint8)
+    pixels[8:24, 16:48] = 200
+    pixels[60:80, 8:40] = 30
+    image = RgbImage(pixels)
+    carriers = carrier_count(detect_edges(image, PARAMS))
+    cap = capacity_of(carriers)
+    payload = bytes(range(40))
+    stopped = detect_edges(image, PARAMS, carriers_for(len(payload)))
+    assert stopped.height < 48 and carrier_count(stopped) < carriers
+    report = {}
+    carrier = embed(image, payload, PARAMS, report)
+    assert report["carriers"] == carriers
+    assert carrier == embed(image, payload, PARAMS)
+    assert extract(carrier) == (payload, PARAMS)
+    with pytest.raises(CapacityExceeded) as excinfo:
+        embed(image, bytes(cap + 1), PARAMS)
+    assert (excinfo.value.required, excinfo.value.available) == (cap + 1, cap)
+    pixels = carrier.pixels.copy()
+    write_row0_bits(pixels, StegoHeader(PARAMS, cap + 1).to_bytes())
+    with pytest.raises(TruncatedPayload, match=f"the carrier holds {cap}$"):
+        extract(RgbImage(pixels))
 
 
 @pytest.mark.parametrize("block_pixels", [1, 7, 64, _BLOCK_PIXELS])
