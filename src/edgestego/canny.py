@@ -330,31 +330,31 @@ def _direction_bins(gx: np.ndarray, gy: np.ndarray, squares: np.ndarray,
 
 
 def gradients(smoothed: GrayImage) -> tuple[np.ndarray, np.ndarray]:
-    """Sobel magnitude rescaled to 0..255 plus the quantized gradient direction.
+    """Rounded Sobel magnitude plus the quantized gradient direction.
 
-    Returns uint8 (magnitude, direction); ``direction`` holds the bin angle in
-    degrees, the nearest of 0/45/90/135 (boundaries at odd multiples of 22.5).
-    Magnitudes are rounded, then rescaled against the image maximum so the
-    two thresholds live on a fixed 0..255 scale. Each block's Sobel reads an
-    edge-clamped int16 window of its rows and the row either side, and the
-    rescaled magnitudes are written over the rounded ones' own bytes, so no
-    whole-image temporary is made. The directions are written over
-    ``smoothed.values``: a block reads its row above from the window before
-    it, never from a row already overwritten.
+    Returns (raw, direction): ``raw`` is uint16 round-half-up
+    sqrt(gx**2 + gy**2), at most sqrt(2) * 1020 = 1443, which
+    ``non_max_suppression`` rescales against the image maximum; ``direction``
+    is uint8 and holds the bin angle in degrees, the nearest of
+    0/45/90/135 (boundaries at odd multiples of 22.5). Each block's Sobel
+    reads an edge-clamped int16 window of its rows and the row either side.
+    The directions are written over ``smoothed.values``: a block reads its
+    row above from the window before it, never from a row already
+    overwritten.
 
     The rounding is in float32: gx**2 + gy**2 <= 2 * 1020**2 < 2**24 is exact
     there, and for every integer in that range the correctly rounded root
     plus 0.5 truncates as the float64 form does (a test checks all).
     """
     values = smoothed.values
-    raw = np.empty(values.shape, dtype=np.uint16)  # at most sqrt(2) * 1020
+    raw = np.empty(values.shape, dtype=np.uint16)
     direction = values
     rows = min(2 * _BLOCK_ROWS, max(_BLOCK_ROWS, _BLOCK_PIXELS // smoothed.width))
 
     # |gx|, |gy| <= 4 * 255 and every Sobel partial sum fit int16
     frame = np.empty((rows + 2, smoothed.width + 2), dtype=np.int16)
     root = np.empty((rows, smoothed.width), dtype=np.float32)
-    acc = np.empty((rows, smoothed.width), dtype=np.uint32)  # the direction ratio, rescaling
+    ratio = np.empty((rows, smoothed.width), dtype=np.float32)
     for y0, y1 in _row_blocks(smoothed.height, rows):
         # rows y0-1..y1 and the columns either side, clamped to the image
         n = y1 - y0
@@ -367,24 +367,12 @@ def gradients(smoothed: GrayImage) -> tuple[np.ndarray, np.ndarray]:
         window[:, -1] = window[:, -2]
         gx, gy = _sobel(window)
         block = root[:n]
-        direction[y0:y1] = _direction_bins(gx, gy, block, acc[:n].view(np.float32))
+        direction[y0:y1] = _direction_bins(gx, gy, block, ratio[:n])
         np.sqrt(block, out=block)
         block += 0.5
         raw[y0:y1] = block  # the cast truncates: round half up
         del gx, gy  # so the next block's Sobel never runs beside them
-
-    # round-half-up of 255*raw/peak in integer arithmetic; 510 * 1443 + 1443
-    # fits in uint32, and a flat image (peak 0) maps to all zeros
-    peak = max(int(raw.max()), 1)
-    # Written into the first half of raw's bytes, for any block height: a
-    # block reads all its rows into acc before floor_divide writes bytes
-    # [y0*w, y1*w), which end at or before 2*y1*w, where the unread rows start.
-    magnitude = raw.reshape(-1).view(np.uint8)[: raw.size].reshape(raw.shape)
-    for y0, y1 in _row_blocks(smoothed.height, rows):
-        scaled = np.multiply(raw[y0:y1], 510, out=acc[: y1 - y0], dtype=np.uint32)
-        scaled += peak
-        np.floor_divide(scaled, 2 * peak, out=magnitude[y0:y1], casting="unsafe")  # at most 255
-    return magnitude, direction
+    return raw, direction
 
 
 def _cut(thinned: np.ndarray, y0: int, params: CannyParams, need: int):
@@ -407,31 +395,40 @@ def _cut(thinned: np.ndarray, y0: int, params: CannyParams, need: int):
     return 0, (y0 + r + int(free[0]) if free.size else None)
 
 
-def non_max_suppression(magnitude: np.ndarray, direction: np.ndarray,
+def non_max_suppression(raw: np.ndarray, direction: np.ndarray,
                         params: CannyParams | None = None, need: int | None = None) -> np.ndarray:
-    """Zero every pixel that is below the larger neighbor along its direction bin.
+    """Rescale ``raw`` to 0..255, then zero each pixel below a neighbor along its bin.
 
-    Out-of-bounds neighbors count as magnitude 0, so border pixels can survive.
-    Each block compares against a zero-bordered window of its rows and the
-    row either side, reused from block to block. The result is written over
-    ``direction``, a writable uint8 array of ``magnitude``'s shape as
+    The magnitude is round-half-up 255 * raw / peak against the image
+    maximum, so the two thresholds live on a fixed 0..255 scale; a flat
+    image (peak 0) maps to all zeros. Out-of-bounds neighbors count as
+    magnitude 0, so border pixels can survive. Each block rescales its rows
+    and the row below into a zero-bordered window, reused from block to
+    block, that carries the row above from the block before. The result is
+    written over ``direction``, a writable uint8 array of ``raw``'s shape as
     ``gradients`` returns it: a block's rows are written only once their
     comparisons are done.
 
     Given ``need`` and ``params``, the blocks stop at the stop rule's row
     (see ``detect_edges``), and only the rows down to it are returned.
     """
-    height, width = magnitude.shape
+    height, width = raw.shape
     rows = max(_BLOCK_ROWS, _BLOCK_PIXELS // width)
+    # 510 * 1443 + 1443 fits in uint32
+    peak = max(int(raw.max()), 1)
     frame = np.zeros((rows + 2, width + 2), dtype=np.uint8)
+    scaled = np.empty((rows + 1, width), dtype=np.uint32)
     for y0, y1 in _row_blocks(height, rows):
         # rows y0-1..y1, zero outside the image; the border columns stay zero
-        n = y1 - y0
+        n, e = y1 - y0, min(y1 + 1, height) - y0  # e: the rows to rescale
         p = frame[: n + 2]
-        p[0, 1:-1] = magnitude[y0 - 1] if y0 else 0
-        p[1 : n + 1, 1:-1] = magnitude[y0:y1]
-        p[n + 1, 1:-1] = magnitude[y1] if y1 < height else 0
-        m, d = magnitude[y0:y1], direction[y0:y1]
+        if y0:  # every block but the last has ``rows`` rows, so frame[rows] is row y0-1
+            p[0] = frame[rows]
+        block = np.multiply(raw[y0 : y0 + e], 510, out=scaled[:e], dtype=np.uint32)
+        block += peak
+        np.floor_divide(block, 2 * peak, out=p[1 : e + 1, 1:-1], casting="unsafe")
+        p[e + 1 :] = 0  # the row below the image, in the last block
+        m, d = p[1 : n + 1, 1:-1], direction[y0:y1]
         keep = np.zeros(m.shape, dtype=bool)
         # each bin's two neighbors as (row, column) offsets into the window
         for angle, (r0, c0), (r1, c1) in ((0, (1, 0), (1, 2)), (45, (0, 2), (2, 0)),
@@ -466,9 +463,9 @@ def _scan_block(thinned: np.ndarray, params: CannyParams, strong: np.ndarray, y0
     flat = np.zeros(1 + (n + 1) * stride, dtype=bool)
     grid = flat[1:].reshape(n + 1, stride)[:, :width]
     a = max(y0 - 1, 0)
-    weak = grid[a - y0 + 1 :]
-    np.greater_equal(thinned[a:y1], params.low_threshold, out=weak)
-    weak &= thinned[a:y1] < params.high_threshold
+    low, high = params.low_threshold, params.high_threshold
+    # low <= v < high as one uint8 difference, as _cut tests it
+    np.less(thinned[a:y1] - np.uint8(low), high - low, out=grid[a - y0 + 1 :])
     # alternately a run's start and its end
     bounds = np.flatnonzero(flat[1:] != flat[:-1]).astype(np.int32)
     # a Python int: a numpy int64 would widen the int32 run numbers it offsets
@@ -625,9 +622,9 @@ def detect_edges(image: RgbImage, params: CannyParams, need: int | None = None) 
     which are edges whatever their neighbours, and s the first row at or
     after r with no weak pixel. No weak component crosses row s, so each
     weak pixel above it is linked or dropped by the strong pixels of rows
-    0..s alone: NMS stops at s and hysteresis runs on rows 0..s. Without
-    such an s, every row is detected. Gray, smoothing and gradients always
-    span the image, since the rescale reads the image's peak.
+    0..s alone: NMS, with its rescale, stops at s and hysteresis runs on
+    rows 0..s. Without such an s, every row is detected. Gray, smoothing and
+    Sobel always span the image, since the rescale reads the image's peak.
     """
     check_min_size(image)
     # nested, so the magnitudes are freed when NMS returns, before hysteresis

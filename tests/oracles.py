@@ -159,6 +159,17 @@ _NMS_NEIGHBORS = {
 }
 
 
+def rescale_reference(raw):
+    """255 * raw / peak rounded half up to uint8, peak the maximum (1 if all zero).
+
+    The integer form (510 raw + peak) // (2 peak) is exact rounding; a test
+    in test_canny.py checks it against rational arithmetic.
+    """
+    raw = np.asarray(raw, dtype=np.int64)
+    peak = max(int(raw.max()), 1)
+    return ((510 * raw + peak) // (2 * peak)).astype(np.uint8)
+
+
 def nms_reference(magnitude, direction):
     """Exhaustive non-maximum suppression; out-of-bounds neighbors count as 0."""
     height, width = magnitude.shape

@@ -159,13 +159,13 @@ def test_criterion_5_stages_match_brute_force(capsys):
             assert gx.dtype == gy.dtype == np.int16
             assert np.array_equal(gx, rx) and np.array_equal(gy, ry)
 
-        for _ in range(50):  # thinning: exact
+        for _ in range(50):  # rescale and thinning: exact
             height, width = (int(v) for v in rng.integers(1, 13, size=2))
-            magnitude = rng.integers(0, 256, (height, width), dtype=np.uint8)
+            raw = rng.integers(0, 1444, (height, width), dtype=np.uint16)
             direction = rng.choice(np.array([0, 45, 90, 135], dtype=np.uint8), (height, width))
             assert np.array_equal(
-                non_max_suppression(magnitude, direction.copy()),  # it writes over the copy
-                oracles.nms_reference(magnitude, direction),
+                non_max_suppression(raw, direction.copy()),  # it writes over the copy
+                oracles.nms_reference(oracles.rescale_reference(raw), direction),
             )
 
         for _ in range(50):  # linking: exact against fixpoint reachability

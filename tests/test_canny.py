@@ -238,8 +238,8 @@ def test_stages_write_over_inputs_in_any_layout(layout):
     params = CannyParams(30, 5, 40)
     smoothed = smooth(_gray(values), params).values
     assert np.array_equal(smoothed, oracles.smooth_separable_reference(values, _KERNELS[30]))
-    magnitude, direction = gradients(_gray(smoothed))
-    thinned = non_max_suppression(magnitude, direction.copy())
+    raw, direction = gradients(_gray(smoothed))
+    thinned = non_max_suppression(raw, direction.copy())
 
     make, select = _LAYOUTS[layout]
     base = make(values)
@@ -249,9 +249,9 @@ def test_stages_write_over_inputs_in_any_layout(layout):
     assert np.array_equal(view, values)
     assert np.array_equal(smooth(GrayImage(view), params).values, smoothed)
     assert np.array_equal(view, smoothed)
-    got_magnitude, got_direction = gradients(GrayImage(view))
-    assert np.array_equal(got_magnitude, magnitude) and np.array_equal(view, direction)
-    got = non_max_suppression(got_magnitude, view)
+    got_raw, got_direction = gradients(GrayImage(view))
+    assert np.array_equal(got_raw, raw) and np.array_equal(view, direction)
+    got = non_max_suppression(got_raw, view)
     assert np.shares_memory(got, base) and np.array_equal(view, thinned)
     assert np.array_equal(base[outside], before[outside])
 
@@ -369,10 +369,9 @@ def test_gradients_at_the_sobel_extremes(pattern):
     assert max(np.abs(gx).max(), np.abs(gy).max()) == 1020
     ours = sobel(values)
     assert np.array_equal(ours[0], gx) and np.array_equal(ours[1], gy)
-    magnitude, direction = gradients(_gray(values))
-    raw = np.floor(np.hypot(gx, gy) + 0.5).astype(np.int64)
-    peak = int(raw.max())
-    assert np.array_equal(magnitude, ((510 * raw + peak) // (2 * peak)).astype(np.uint8))
+    raw, direction = gradients(_gray(values))
+    assert raw.dtype == np.uint16
+    assert np.array_equal(raw, np.floor(np.hypot(gx, gy) + 0.5))
     assert np.array_equal(direction, oracles.direction_reference(gx, gy))
 
 
@@ -388,43 +387,28 @@ def test_float32_root_rounds_as_float64_on_every_sum_of_squares():
     assert np.array_equal(root.astype(np.uint16), expected.astype(np.uint16))
 
 
-def test_gradients_flat_image_is_all_zero():
-    magnitude, _ = gradients(_gray(np.full((5, 5), 77)))
-    assert magnitude.max() == 0
-
-
-def test_gradients_rescale_hits_255():
-    rng = np.random.default_rng(2)
-    magnitude, _ = gradients(_gray(rng.integers(0, 256, (6, 6), dtype=np.uint8)))
-    assert magnitude.max() == 255
-
-
 def test_magnitude_rescale_is_exact_rounding():
-    # the integer form (510*raw + peak) // (2*peak) must equal
-    # floor(255*raw/peak + 1/2) computed in exact rational arithmetic
+    # the integer form (510*raw + peak) // (2*peak) that NMS and the oracle use
+    # must equal floor(255*raw/peak + 1/2) computed in exact rational arithmetic
     rng = np.random.default_rng(11)
     raws = [int(v) for v in rng.integers(0, 1443, size=300)]
     peak = max(raws)
-    for raw in raws:
+    for raw, got in zip(raws, oracles.rescale_reference(raws)):
         expected = int(Fraction(255 * raw, peak) + Fraction(1, 2))
-        assert (510 * raw + peak) // (2 * peak) == expected
+        assert (510 * raw + peak) // (2 * peak) == got == expected
 
 
 def test_gradient_magnitude_matches_scalar_pipeline():
     rng = np.random.default_rng(3)
     # windows narrower and shorter than the Sobel stencil, one block, then
-    # heights that span several blocks; at 2 * _BLOCK the second block's
-    # in-place rescale writes up to the byte where its own rows start
+    # heights that span several blocks
     shapes = [(1, 1), (2, 5), (5, 1), (6, 7), (70, 40), (70, 40), (70, 40),
               (2 * _BLOCK + 1, 9), (_BLOCK, 9), (2 * _BLOCK, 9), (3 * _BLOCK + 5, 9)]
     for shape in shapes:
         values = rng.integers(0, 256, shape, dtype=np.uint8)
-        magnitude, direction = gradients(_gray(values))
+        raw, direction = gradients(_gray(values))
         gx, gy = oracles.sobel_reference(values)
-        raw = np.floor(np.hypot(gx, gy) + 0.5).astype(np.int64)
-        peak = max(int(raw.max()), 1)
-        expected = (510 * raw + peak) // (2 * peak)
-        assert np.array_equal(magnitude, expected.astype(np.uint8))
+        assert np.array_equal(raw, np.floor(np.hypot(gx, gy) + 0.5))
         assert np.array_equal(direction, oracles.direction_reference(gx, gy))
 
 
@@ -479,49 +463,65 @@ def test_gradients_require_3x3():
 
 
 def test_nms_isolated_peak_survives_every_bin():
-    magnitude = np.zeros((5, 5), dtype=np.uint8)
-    magnitude[2, 2] = 200
+    # the peak is the image maximum, so it rescales to 255
+    raw = np.zeros((5, 5), dtype=np.uint16)
+    raw[2, 2] = 200
     for angle in (0, 45, 90, 135):
         direction = np.full((5, 5), angle, dtype=np.uint8)
-        assert non_max_suppression(magnitude, direction)[2, 2] == 200
+        assert non_max_suppression(raw, direction)[2, 2] == 255
 
 
 def test_nms_keeps_ties():
     # a ridge of equal values must survive in full: comparison is >=
-    magnitude = np.zeros((5, 5), dtype=np.uint8)
-    magnitude[:, 2] = 100
+    raw = np.zeros((5, 5), dtype=np.uint16)
+    raw[:, 2] = 100
     direction = np.zeros((5, 5), dtype=np.uint8)  # bin 0: compare left/right
-    thinned = non_max_suppression(magnitude, direction)
-    assert (thinned[:, 2] == 100).all()
+    thinned = non_max_suppression(raw, direction)
+    assert (thinned[:, 2] == 255).all()
 
 
 def test_nms_suppresses_weaker_shoulder():
-    magnitude = np.zeros((3, 5), dtype=np.uint8)
-    magnitude[1, 1] = 50
-    magnitude[1, 2] = 100
+    raw = np.zeros((3, 5), dtype=np.uint16)
+    raw[1, 1] = 50
+    raw[1, 2] = 100
     direction = np.zeros((3, 5), dtype=np.uint8)
-    thinned = non_max_suppression(magnitude, direction)
+    thinned = non_max_suppression(raw, direction)
     assert thinned[1, 1] == 0  # loses to the 100 on its right
-    assert thinned[1, 2] == 100
+    assert thinned[1, 2] == 255
 
 
 def test_nms_border_pixels_compare_against_zero():
-    magnitude = np.zeros((3, 3), dtype=np.uint8)
-    magnitude[0, 0] = 5
-    thinned = non_max_suppression(magnitude, np.zeros((3, 3), dtype=np.uint8))
-    assert thinned[0, 0] == 5
+    raw = np.zeros((3, 3), dtype=np.uint16)
+    raw[0, 0] = 5
+    thinned = non_max_suppression(raw, np.zeros((3, 3), dtype=np.uint8))
+    assert thinned[0, 0] == 255
 
 
-def test_nms_matches_exhaustive_reference():
+def test_nms_flat_image_is_all_zero():
+    raw, direction = gradients(_gray(np.full((5, 5), 77)))
+    assert raw.max() == 0
+    assert non_max_suppression(raw, direction).max() == 0
+
+
+def test_nms_rescale_hits_255():
+    rng = np.random.default_rng(2)
+    raw, direction = gradients(_gray(rng.integers(0, 256, (6, 6), dtype=np.uint8)))
+    assert non_max_suppression(raw, direction).max() == 255
+
+
+def test_nms_matches_exhaustive_reference(monkeypatch):
+    # blocks of _BLOCK rows, so that the heights below cross their seams: each
+    # block carries the rescaled row above from the window before it
+    monkeypatch.setattr(canny, "_BLOCK_PIXELS", 1)
     rng = np.random.default_rng(29)
     small = (tuple(int(v) for v in rng.integers(1, 13, size=2)) for _ in range(25))
     # heights on both sides of the row-block seams, narrow and wide
     seams = [(h, w) for h in (_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3) for w in (7, 300)]
     for height, width in itertools.chain(small, seams):  # small is drawn as the loop runs
-        magnitude = rng.integers(0, 256, (height, width), dtype=np.uint8)
+        raw = rng.integers(0, 1444, (height, width), dtype=np.uint16)
         direction = rng.choice(np.array([0, 45, 90, 135], dtype=np.uint8), (height, width))
-        ours = non_max_suppression(magnitude, direction.copy())
-        assert np.array_equal(ours, oracles.nms_reference(magnitude, direction))
+        ours = non_max_suppression(raw, direction.copy())
+        assert np.array_equal(ours, oracles.nms_reference(oracles.rescale_reference(raw), direction))
 
 
 # ------------------------------------------------------------- hysteresis
@@ -748,11 +748,11 @@ def test_hysteresis_peak_memory_on_mostly_weak_maps(low):
 
 def test_gradients_and_nms_make_no_whole_image_copy():
     # each stage writes its output over the array it consumed, so the only
-    # whole-image array gradients makes is its raw uint16, 2 B/px, whose
-    # bytes then hold the magnitudes, and the smoothing's is its padded copy,
-    # 1 B/px, beside its block buffers and a tie chunk's windows (1.65 B/px
-    # at sigma 3.0); one more whole-image temporary would add at least 1 B/px
-    # to any of them, and a second magnitude array another 1 to gradients.
+    # whole-image array gradients makes is its raw uint16, 2 B/px, which NMS
+    # rescales a block at a time into its window, and the smoothing's is its
+    # padded copy, 1 B/px, beside its block buffers and a tie chunk's windows
+    # (1.65 B/px at sigma 3.0); one more whole-image temporary would add at
+    # least 1 B/px to any of them, a whole-image rescaled magnitude 1 to NMS.
     # detect_edges peaks in gradients, holding raw beside the gray's bytes.
     # Sobel's block temporaries add 0.29 B/px here; int32 squares and a block's
     # gx and gy held into the next block's Sobel made it 0.44. The early stop
@@ -774,9 +774,9 @@ def test_gradients_and_nms_make_no_whole_image_copy():
     tracemalloc.start()
     try:
         blur, _ = peak_above_entry(smooth, to_masked_gray(image), CannyParams(30, 5, 40))
-        grad, (magnitude, direction) = peak_above_entry(gradients, smoothed)
-        nms, _ = peak_above_entry(non_max_suppression, magnitude, direction)
-        del magnitude, direction, _
+        grad, (raw, direction) = peak_above_entry(gradients, smoothed)
+        nms, _ = peak_above_entry(non_max_suppression, raw, direction)
+        del raw, direction, _
         detect, _ = peak_above_entry(detect_edges, image, params)
         early, stopped = peak_above_entry(detect_edges, banded, params, 1000)
     finally:
@@ -823,22 +823,23 @@ def test_banded_stages_equal_one_band(monkeypatch, width, height, rows, tenths):
     def stages():
         # each stage writes its result over its input and reads no row it has
         # overwritten: the smoothing reads its padded copy, gradients carries the
-        # row above a block in its window, and NMS writes a block once its
-        # comparisons are done. Given copies, every stage's output is kept.
+        # row above a block in its window, and NMS, which carries its rescaled
+        # row above likewise, writes a block once its comparisons are done.
+        # Given copies, every stage's output is kept.
         gray = to_masked_gray(image).values
         g = gray.copy()
         smoothed = smooth(GrayImage(g), params)
         s = smoothed.values.copy()
-        magnitude, direction = gradients(GrayImage(s))
+        raw, direction = gradients(GrayImage(s))
         d = direction.copy()
-        thinned = non_max_suppression(magnitude, d)
+        thinned = non_max_suppression(raw, d)
         for got, buffer in zip((smoothed.values, direction, thinned), (g, s, d)):
             assert np.shares_memory(got, buffer)
         # nested as in detect_edges, all three write over one gray
         g = gray.copy()
         nested = non_max_suppression(*gradients(smooth(GrayImage(g), params)))
         assert np.array_equal(nested, thinned) and np.shares_memory(nested, g)
-        return (gray, smoothed.values, magnitude, direction, thinned,
+        return (gray, smoothed.values, raw, direction, thinned,
                 detect_edges(image, params).membership)
 
     with monkeypatch.context() as patch:
@@ -890,15 +891,16 @@ def test_half_plane_step_yields_one_tight_vertical_edge():
 
 def test_nms_stops_at_the_first_weak_free_row_below_the_strong_count():
     # horizontal bins: each row is thinned on its own, and level rows survive
-    # whole. Row 0's strong pixels are not counted; row 1 holds 4 strong pixels
-    # and weak ones; rows 2 and 3 are weak at low and at high - 1; row 4, at
-    # low - 1, is the first row without a weak pixel
+    # whole. Row 0 sets the peak at 255, so the rescale keeps every value, and
+    # its strong pixels are not counted; row 1 holds 4 strong pixels and weak
+    # ones; rows 2 and 3 are weak at low and at high - 1; row 4, at low - 1, is
+    # the first row without a weak pixel
     params = CannyParams(10, 10, 50)
-    magnitude = np.array([[50] * 8, [50] * 4 + [10] * 4, [10] * 8, [49] * 8, [9] * 8, [10] * 8],
-                         dtype=np.uint8)
-    whole = non_max_suppression(magnitude, np.zeros_like(magnitude))
+    raw = np.array([[255] * 8, [50] * 4 + [10] * 4, [10] * 8, [49] * 8, [9] * 8, [10] * 8],
+                   dtype=np.uint16)
+    whole = non_max_suppression(raw, np.zeros(raw.shape, dtype=np.uint8))
     for need, rows in ((0, 1), (1, 5), (4, 5), (5, 6)):
-        thinned = non_max_suppression(magnitude, np.zeros_like(magnitude), params, need)
+        thinned = non_max_suppression(raw, np.zeros(raw.shape, dtype=np.uint8), params, need)
         assert np.array_equal(thinned, whole[:rows]), need
 
 
@@ -945,6 +947,28 @@ def test_early_stop_needs_a_row_without_weak_pixels():
         assert np.all(np.any((thinned >= low) & (thinned < high), axis=1))
         assert np.count_nonzero(thinned[1:20] >= high) >= 20
         assert _rows_of_an_early_stop(image, params, 20) == 256
+
+
+def test_early_stop_rescales_against_the_whole_image_peak():
+    # a +64 box near the top makes NMS stop in its first block, and the
+    # largest magnitude lies blocks below, on a 0/255 step from row 224: a
+    # peak taken per block, or over the rows seen so far, would rescale the
+    # stopped rows differently from the reference, in both runs alike
+    gray = np.full((256, 1024), 96, dtype=np.uint8)
+    gray[20:40, 16:48] += 64
+    gray[224:] = 0
+    gray[224:, 512:] = 255
+    image = RgbImage(np.repeat(gray[:, :, None], 3, axis=2))
+    params, need = CannyParams(10, 20, 60), 10
+    raw, direction = gradients(smooth(to_masked_gray(image), params))
+    stopped = non_max_suppression(raw, direction.copy(), params, need)
+    n = len(stopped)
+    assert n < canny._BLOCK_PIXELS // 1024 < np.argmax(raw) // 1024
+    # rows 0..n-1 of the reference read rows 0..n alone
+    reference = oracles.nms_reference(oracles.rescale_reference(raw)[: n + 1], direction[: n + 1])
+    assert np.array_equal(stopped, reference[:n])
+    assert np.array_equal(stopped, non_max_suppression(raw, direction)[:n])
+    assert _rows_of_an_early_stop(image, params, need) == n
 
 
 @settings(max_examples=25, deadline=None)

@@ -250,14 +250,16 @@ def _stage_hash(*arrays):
 
 def _stage_digests(cover, params):
     """Each stage's digest as the package computes it, taken before the next
-    stage writes over that stage's output."""
+    stage writes over that stage's output. NMS rescales the magnitudes as it
+    reads them, so the third digest hashes the reference rescale of the
+    package's rounded magnitudes beside its directions."""
     gray = to_masked_gray(cover)
     digests = [_stage_hash(gray.values)]
     smoothed = smooth(gray, params)
     digests.append(_stage_hash(smoothed.values))
-    magnitude, direction = gradients(smoothed)
-    digests.append(_stage_hash(magnitude, direction))
-    thinned = non_max_suppression(magnitude, direction)
+    raw, direction = gradients(smoothed)
+    digests.append(_stage_hash(oracles.rescale_reference(raw), direction))
+    thinned = non_max_suppression(raw, direction)
     digests.append(_stage_hash(thinned))
     digests.append(_stage_hash(np.packbits(hysteresis(thinned, params).membership)))
     return tuple(digests)
@@ -269,9 +271,7 @@ def _reference_stage_digests(cover, params):
                      for row in cover.pixels.astype(int)], dtype=np.uint8)
     smoothed = oracles.smooth_separable_reference(gray, _KERNELS[params.sigma_tenths])
     gx, gy = oracles.sobel_reference(smoothed)
-    raw = np.floor(np.sqrt(gx * gx + gy * gy) + 0.5).astype(np.int64)
-    peak = max(int(raw.max()), 1)
-    magnitude = ((510 * raw + peak) // (2 * peak)).astype(np.uint8)  # 255 * raw / peak, half up
+    magnitude = oracles.rescale_reference(np.floor(np.sqrt(gx * gx + gy * gy) + 0.5))
     direction = oracles.direction_reference(gx, gy)
     thinned = oracles.nms_reference(magnitude, direction)
     edges = oracles.hysteresis_dense_reference(thinned, params.low_threshold,
