@@ -49,8 +49,8 @@ _LABEL_BLOCK_PIXELS = 2**18
 # smooth recomputes its near ties in float64 _TIE_CHUNK pixels at a time: at
 # sigma 3.0 a chunk's windows and sums take about 1.5 MB.
 _TIE_CHUNK = 2048
-# The masked gray's weights for the channels shifted right by 3 (to_masked_gray).
-_LUMA = np.array([2 * 299, 2 * 587, 2 * 114], dtype=np.float32)
+# The masked gray's weights (to_masked_gray): 2 * (299, 587, 114) / 8, exact in float32.
+_LUMA = np.array([74.75, 146.75, 28.5], dtype=np.float32)
 
 
 @dataclass(frozen=True)
@@ -101,24 +101,25 @@ def to_masked_gray(image: RgbImage) -> GrayImage:
     The masking makes the result (and therefore the whole detector) identical
     for any two images that differ only in channel bits 0..2. The projection
     is 0.299/0.587/0.114 luminance rounded half up, defined in integers as
-    (299r + 587g + 114b + 500) // 1000 of the masked channels. With r = 8R
-    (R = r >> 3, likewise G and B) that is (598R + 1174G + 228B + 125) // 250.
-    float32 evaluates it exactly: every product and partial sum is an
-    integer of at most 31 * 2000 + 125 = 62125 < 2**24, so the product with
-    the weights is exact in any order, with or without FMA. The division is
-    correctly rounded, and the exact quotient's fraction is 0 or at least
-    1/250, far above the 2**-16 spacing of float32 below 256, so rounding
-    never carries it up to an integer and the cast's truncation floors.
+    (299r + 587g + 114b + 500) // 1000 of the masked channels, which is
+    (L + 125) // 250 with L = (598r + 1174g + 228b) / 8. float32 evaluates
+    it exactly: the weights divided by 8 are exact binary fractions, so every
+    product and partial sum of L is an integer of at most 248 * 250 = 62000 <
+    2**24, exact in any order, with or without FMA, and so is L + 125.5. The
+    true (L + 125.5) / 250, at most 248.5, lies at least 0.002 from an
+    integer, and its product with the float32 1/250 errs by under 3e-5, so
+    the cast's truncation floors it to (L + 125) // 250.
     """
     gray = np.empty((image.height, image.width), dtype=np.uint8)
-    shifted = np.empty((_BLOCK_ROWS, image.width, 3), dtype=np.float32)
+    masked = np.empty((_BLOCK_ROWS, image.width, 3), dtype=np.float32)
     luma = np.empty((_BLOCK_ROWS, image.width), dtype=np.float32)
     for y0, y1 in _row_blocks(image.height, _BLOCK_ROWS):
         n = y1 - y0
-        block = np.right_shift(image.pixels[y0:y1], 3, out=shifted[:n], casting="unsafe")
+        block = np.bitwise_and(image.pixels[y0:y1], 0xF8, out=masked[:n], casting="unsafe")
         block = np.matmul(block, _LUMA, out=luma[:n])
-        block += 125
-        np.divide(block, 250, out=gray[y0:y1], casting="unsafe")  # at most 248
+        block += 125.5
+        block *= np.float32(1 / 250)
+        gray[y0:y1] = block  # at most 248; the cast truncates
     return GrayImage(gray)
 
 
@@ -329,13 +330,15 @@ def _direction_bins(gx: np.ndarray, gy: np.ndarray, squares: np.ndarray,
     return bins
 
 
-def gradients(smoothed: GrayImage) -> tuple[np.ndarray, np.ndarray]:
+def gradients(smoothed: GrayImage) -> tuple[list[np.ndarray], np.ndarray]:
     """Rounded Sobel magnitude plus the quantized gradient direction.
 
-    Returns (raw, direction): ``raw`` is uint16 round-half-up
-    sqrt(gx**2 + gy**2), at most sqrt(2) * 1020 = 1443, which
-    ``non_max_suppression`` rescales against the image maximum; ``direction``
-    is uint8 and holds the bin angle in degrees, the nearest of
+    Returns (raw, direction): ``raw`` is the round-half-up
+    sqrt(gx**2 + gy**2), at most sqrt(2) * 1020 = 1443, as a top-to-bottom
+    list of one array per row block, each in the narrowest unsigned type that
+    holds its values (uint8 when every value is below 256, else uint16),
+    which ``non_max_suppression`` rescales against the image maximum;
+    ``direction`` is uint8 and holds the bin angle in degrees, the nearest of
     0/45/90/135 (boundaries at odd multiples of 22.5). Each block's Sobel
     reads an edge-clamped int16 window of its rows and the row either side.
     The directions are written over ``smoothed.values``: a block reads its
@@ -347,8 +350,7 @@ def gradients(smoothed: GrayImage) -> tuple[np.ndarray, np.ndarray]:
     plus 0.5 truncates as the float64 form does (a test checks all).
     """
     values = smoothed.values
-    raw = np.empty(values.shape, dtype=np.uint16)
-    direction = values
+    raw, direction = [], values
     rows = min(2 * _BLOCK_ROWS, max(_BLOCK_ROWS, _BLOCK_PIXELS // smoothed.width))
 
     # |gx|, |gy| <= 4 * 255 and every Sobel partial sum fit int16
@@ -370,7 +372,8 @@ def gradients(smoothed: GrayImage) -> tuple[np.ndarray, np.ndarray]:
         direction[y0:y1] = _direction_bins(gx, gy, block, ratio[:n])
         np.sqrt(block, out=block)
         block += 0.5
-        raw[y0:y1] = block  # the cast truncates: round half up
+        # the cast truncates: round half up
+        raw.append(block.astype(np.uint8 if block.max() < 256 else np.uint16))
         del gx, gy  # so the next block's Sobel never runs beside them
     return raw, direction
 
@@ -395,40 +398,56 @@ def _cut(thinned: np.ndarray, y0: int, params: CannyParams, need: int):
     return 0, (y0 + r + int(free[0]) if free.size else None)
 
 
-def non_max_suppression(raw: np.ndarray, direction: np.ndarray,
+def non_max_suppression(raw: list[np.ndarray], direction: np.ndarray,
                         params: CannyParams | None = None, need: int | None = None) -> np.ndarray:
     """Rescale ``raw`` to 0..255, then zero each pixel below a neighbor along its bin.
 
-    The magnitude is round-half-up 255 * raw / peak against the image
-    maximum, so the two thresholds live on a fixed 0..255 scale; a flat
-    image (peak 0) maps to all zeros. Out-of-bounds neighbors count as
-    magnitude 0, so border pixels can survive. Each block rescales its rows
-    and the row below into a zero-bordered window, reused from block to
-    block, that carries the row above from the block before. The result is
-    written over ``direction``, a writable uint8 array of ``raw``'s shape as
-    ``gradients`` returns it: a block's rows are written only once their
-    comparisons are done.
+    ``raw`` holds the magnitudes as ``gradients`` returns them, a top-to-bottom
+    list of row blocks of any heights and unsigned types; a bare array is
+    rejected. The magnitude is round-half-up 255 * raw / peak against the
+    image maximum, the largest block maximum, so the two thresholds live on
+    a fixed 0..255 scale; a flat image (peak 0) maps to all zeros.
+    Out-of-bounds neighbors count as magnitude 0, so border pixels can
+    survive. A few consecutive blocks of ``raw`` at a time are rescaled,
+    with the first row after them, into a zero-bordered window, reused from
+    group to group, that carries the row above from the group before. The
+    result is written over ``direction``, a writable uint8 array of the
+    image's shape as ``gradients`` returns it: a group's rows are written
+    only once their comparisons are done.
 
-    Given ``need`` and ``params``, the blocks stop at the stop rule's row
+    Given ``need`` and ``params``, the groups stop at the stop rule's row
     (see ``detect_edges``), and only the rows down to it are returned.
     """
-    height, width = raw.shape
-    rows = max(_BLOCK_ROWS, _BLOCK_PIXELS // width)
+    if isinstance(raw, np.ndarray):
+        raise TypeError("raw is a list of row blocks, as gradients returns it")
+    height, width = direction.shape
+    if sum(map(len, raw)) != height:
+        raise ValueError(f"raw's blocks hold {sum(map(len, raw))} rows, not {height}")
+    # NMS pays per numpy call, so it takes raw's blocks a few at a time, to
+    # about _BLOCK_PIXELS // width rows, at least _BLOCK_ROWS
+    per = max(1, max(_BLOCK_ROWS, _BLOCK_PIXELS // width) // len(raw[0]))
+    groups = [raw[k : k + per] for k in range(0, len(raw), per)]
+    rows = max(sum(map(len, group)) for group in groups)
     # 510 * 1443 + 1443 fits in uint32
-    peak = max(int(raw.max()), 1)
+    peak = max(int(max(map(np.max, raw))), 1)
     frame = np.zeros((rows + 2, width + 2), dtype=np.uint8)
     scaled = np.empty((rows + 1, width), dtype=np.uint32)
-    for y0, y1 in _row_blocks(height, rows):
+    y0 = n = 0
+    # each group with the first row after it; none after the last
+    for group, below in zip(groups, [group[0][:1] for group in groups[1:]] + [raw[0][:0]]):
         # rows y0-1..y1, zero outside the image; the border columns stay zero
-        n, e = y1 - y0, min(y1 + 1, height) - y0  # e: the rows to rescale
-        p = frame[: n + 2]
-        if y0:  # every block but the last has ``rows`` rows, so frame[rows] is row y0-1
-            p[0] = frame[rows]
-        block = np.multiply(raw[y0 : y0 + e], 510, out=scaled[:e], dtype=np.uint32)
-        block += peak
-        np.floor_divide(block, 2 * peak, out=p[1 : e + 1, 1:-1], casting="unsafe")
-        p[e + 1 :] = 0  # the row below the image, in the last block
-        m, d = p[1 : n + 1, 1:-1], direction[y0:y1]
+        frame[0] = frame[n]  # row y0-1, the last row of the window before
+        n = sum(map(len, group))
+        e, p = n + len(below), frame[: n + 2]  # e: the rows to rescale
+        i = 0
+        for piece in (*group, below):
+            np.multiply(piece, 510, out=scaled[i : i + len(piece)], dtype=np.uint32)
+            i += len(piece)
+        rescaled = scaled[:e]
+        rescaled += peak
+        np.floor_divide(rescaled, 2 * peak, out=p[1 : e + 1, 1:-1], casting="unsafe")
+        p[e + 1 :] = 0  # the row below the image, in the last group
+        m, d = p[1 : n + 1, 1:-1], direction[y0 : y0 + n]
         keep = np.zeros(m.shape, dtype=bool)
         # each bin's two neighbors as (row, column) offsets into the window
         for angle, (r0, c0), (r1, c1) in ((0, (1, 0), (1, 2)), (45, (0, 2), (2, 0)),
@@ -440,6 +459,7 @@ def non_max_suppression(raw: np.ndarray, direction: np.ndarray,
             need, cut = _cut(d, y0, params, need)
             if cut is not None:
                 return direction[: cut + 1]
+        y0 += n
     return direction
 
 
@@ -625,6 +645,8 @@ def detect_edges(image: RgbImage, params: CannyParams, need: int | None = None) 
     0..s alone: NMS, with its rescale, stops at s and hysteresis runs on
     rows 0..s. Without such an s, every row is detected. Gray, smoothing and
     Sobel always span the image, since the rescale reads the image's peak.
+    The magnitudes pass from Sobel to NMS as one array per row block, one
+    byte a pixel where a block's are all below 256, two elsewhere.
     """
     check_min_size(image)
     # nested, so the magnitudes are freed when NMS returns, before hysteresis

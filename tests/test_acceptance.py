@@ -164,7 +164,7 @@ def test_criterion_5_stages_match_brute_force(capsys):
             raw = rng.integers(0, 1444, (height, width), dtype=np.uint16)
             direction = rng.choice(np.array([0, 45, 90, 135], dtype=np.uint8), (height, width))
             assert np.array_equal(
-                non_max_suppression(raw, direction.copy()),  # it writes over the copy
+                non_max_suppression([raw], direction.copy()),  # it writes over the copy
                 oracles.nms_reference(oracles.rescale_reference(raw), direction),
             )
 

@@ -35,6 +35,14 @@ def _gray(values):
     return GrayImage(np.array(values, dtype=np.uint8))
 
 
+def _magnitudes(raw):
+    """The whole image's rounded magnitudes from ``gradients``' row blocks, each
+    checked to be in the narrowest unsigned type that holds its values."""
+    for block in raw:
+        assert block.dtype == (np.uint8 if block.max() < 256 else np.uint16)
+    return np.concatenate(raw)
+
+
 # ---------------------------------------------------------------- parameters
 
 
@@ -250,7 +258,8 @@ def test_stages_write_over_inputs_in_any_layout(layout):
     assert np.array_equal(smooth(GrayImage(view), params).values, smoothed)
     assert np.array_equal(view, smoothed)
     got_raw, got_direction = gradients(GrayImage(view))
-    assert np.array_equal(got_raw, raw) and np.array_equal(view, direction)
+    assert np.array_equal(_magnitudes(got_raw), _magnitudes(raw))
+    assert np.array_equal(view, direction)
     got = non_max_suppression(got_raw, view)
     assert np.shares_memory(got, base) and np.array_equal(view, thinned)
     assert np.array_equal(base[outside], before[outside])
@@ -370,8 +379,8 @@ def test_gradients_at_the_sobel_extremes(pattern):
     ours = sobel(values)
     assert np.array_equal(ours[0], gx) and np.array_equal(ours[1], gy)
     raw, direction = gradients(_gray(values))
-    assert raw.dtype == np.uint16
-    assert np.array_equal(raw, np.floor(np.hypot(gx, gy) + 0.5))
+    assert {block.dtype for block in raw} == {np.dtype(np.uint16)}
+    assert np.array_equal(_magnitudes(raw), np.floor(np.hypot(gx, gy) + 0.5))
     assert np.array_equal(direction, oracles.direction_reference(gx, gy))
 
 
@@ -408,7 +417,7 @@ def test_gradient_magnitude_matches_scalar_pipeline():
         values = rng.integers(0, 256, shape, dtype=np.uint8)
         raw, direction = gradients(_gray(values))
         gx, gy = oracles.sobel_reference(values)
-        assert np.array_equal(raw, np.floor(np.hypot(gx, gy) + 0.5))
+        assert np.array_equal(_magnitudes(raw), np.floor(np.hypot(gx, gy) + 0.5))
         assert np.array_equal(direction, oracles.direction_reference(gx, gy))
 
 
@@ -468,7 +477,7 @@ def test_nms_isolated_peak_survives_every_bin():
     raw[2, 2] = 200
     for angle in (0, 45, 90, 135):
         direction = np.full((5, 5), angle, dtype=np.uint8)
-        assert non_max_suppression(raw, direction)[2, 2] == 255
+        assert non_max_suppression([raw], direction)[2, 2] == 255
 
 
 def test_nms_keeps_ties():
@@ -476,7 +485,7 @@ def test_nms_keeps_ties():
     raw = np.zeros((5, 5), dtype=np.uint16)
     raw[:, 2] = 100
     direction = np.zeros((5, 5), dtype=np.uint8)  # bin 0: compare left/right
-    thinned = non_max_suppression(raw, direction)
+    thinned = non_max_suppression([raw], direction)
     assert (thinned[:, 2] == 255).all()
 
 
@@ -485,7 +494,7 @@ def test_nms_suppresses_weaker_shoulder():
     raw[1, 1] = 50
     raw[1, 2] = 100
     direction = np.zeros((3, 5), dtype=np.uint8)
-    thinned = non_max_suppression(raw, direction)
+    thinned = non_max_suppression([raw], direction)
     assert thinned[1, 1] == 0  # loses to the 100 on its right
     assert thinned[1, 2] == 255
 
@@ -493,13 +502,13 @@ def test_nms_suppresses_weaker_shoulder():
 def test_nms_border_pixels_compare_against_zero():
     raw = np.zeros((3, 3), dtype=np.uint16)
     raw[0, 0] = 5
-    thinned = non_max_suppression(raw, np.zeros((3, 3), dtype=np.uint8))
+    thinned = non_max_suppression([raw], np.zeros((3, 3), dtype=np.uint8))
     assert thinned[0, 0] == 255
 
 
 def test_nms_flat_image_is_all_zero():
     raw, direction = gradients(_gray(np.full((5, 5), 77)))
-    assert raw.max() == 0
+    assert _magnitudes(raw).max() == 0
     assert non_max_suppression(raw, direction).max() == 0
 
 
@@ -510,8 +519,11 @@ def test_nms_rescale_hits_255():
 
 
 def test_nms_matches_exhaustive_reference(monkeypatch):
-    # blocks of _BLOCK rows, so that the heights below cross their seams: each
-    # block carries the rescaled row above from the window before it
+    # NMS takes raw's row blocks in groups of about _BLOCK rows, so that the
+    # heights below cross their seams, in two layouts: gradients' blocks of
+    # _BLOCK rows, one to a group, and blocks cut at random rows, one- and
+    # two-byte, some one row high, grouped by the first one's height. Each
+    # group carries the rescaled row above from the window before it.
     monkeypatch.setattr(canny, "_BLOCK_PIXELS", 1)
     rng = np.random.default_rng(29)
     small = (tuple(int(v) for v in rng.integers(1, 13, size=2)) for _ in range(25))
@@ -519,9 +531,24 @@ def test_nms_matches_exhaustive_reference(monkeypatch):
     seams = [(h, w) for h in (_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3) for w in (7, 300)]
     for height, width in itertools.chain(small, seams):  # small is drawn as the loop runs
         raw = rng.integers(0, 1444, (height, width), dtype=np.uint16)
+        raw[rng.random(height) < 0.3] %= 256
         direction = rng.choice(np.array([0, 45, 90, 135], dtype=np.uint8), (height, width))
-        ours = non_max_suppression(raw, direction.copy())
-        assert np.array_equal(ours, oracles.nms_reference(oracles.rescale_reference(raw), direction))
+        expected = oracles.nms_reference(oracles.rescale_reference(raw), direction)
+        cuts = np.sort(rng.integers(0, height + 1, size=int(rng.integers(0, 6))))
+        for blocks in (np.split(raw, range(_BLOCK, height, _BLOCK)), np.split(raw, cuts)):
+            blocks = [b.astype(np.uint8) if b.max() < 256 else b for b in blocks if len(b)]
+            ours = non_max_suppression(blocks, direction.copy())
+            assert np.array_equal(ours, expected)
+
+
+def test_nms_rejects_magnitudes_not_in_row_blocks():
+    # one whole-image array, or blocks that miss rows, would otherwise be
+    # read row by row as blocks, or broadcast into the window
+    raw, direction = gradients(_gray(np.random.default_rng(6).integers(0, 256, (40, 9))))
+    with pytest.raises(TypeError):
+        non_max_suppression(_magnitudes(raw), direction)
+    with pytest.raises(ValueError):
+        non_max_suppression(raw[:-1], direction)
 
 
 # ------------------------------------------------------------- hysteresis
@@ -746,14 +773,23 @@ def test_hysteresis_peak_memory_on_mostly_weak_maps(low):
     assert peak <= cap * thinned.size
 
 
+def _peak_above_entry(stage, *args):
+    """(the traced peak of ``stage(*args)`` above the memory traced at entry, its result)."""
+    tracemalloc.reset_peak()
+    base = tracemalloc.get_traced_memory()[0]
+    result = stage(*args)
+    return tracemalloc.get_traced_memory()[1] - base, result
+
+
 def test_gradients_and_nms_make_no_whole_image_copy():
     # each stage writes its output over the array it consumed, so the only
-    # whole-image array gradients makes is its raw uint16, 2 B/px, which NMS
-    # rescales a block at a time into its window, and the smoothing's is its
-    # padded copy, 1 B/px, beside its block buffers and a tie chunk's windows
-    # (1.65 B/px at sigma 3.0); one more whole-image temporary would add at
-    # least 1 B/px to any of them, a whole-image rescaled magnitude 1 to NMS.
-    # detect_edges peaks in gradients, holding raw beside the gray's bytes.
+    # whole-image data gradients makes is its blocks of magnitudes, two-byte
+    # on this noise (2 B/px), which NMS rescales a block at a time into its
+    # window, and the smoothing's is its padded copy, 1 B/px, beside its block
+    # buffers and a tie chunk's windows (1.65 B/px at sigma 3.0); one more
+    # whole-image temporary would add at least 1 B/px to any of them, a
+    # whole-image rescaled magnitude 1 to NMS. On this noise detect_edges
+    # peaks in gradients, holding the magnitudes beside the gray's bytes.
     # Sobel's block temporaries add 0.29 B/px here; int32 squares and a block's
     # gx and gy held into the next block's Sobel made it 0.44. The early stop
     # adds only per-block masks: a flat band makes rows with no weak pixel.
@@ -764,21 +800,14 @@ def test_gradients_and_nms_make_no_whole_image_copy():
     banded = RgbImage(banded)
     params = CannyParams(10, 5, 40)
     smoothed = smooth(to_masked_gray(image), params)
-
-    def peak_above_entry(stage, *args):
-        tracemalloc.reset_peak()
-        base = tracemalloc.get_traced_memory()[0]
-        result = stage(*args)
-        return tracemalloc.get_traced_memory()[1] - base, result
-
     tracemalloc.start()
     try:
-        blur, _ = peak_above_entry(smooth, to_masked_gray(image), CannyParams(30, 5, 40))
-        grad, (raw, direction) = peak_above_entry(gradients, smoothed)
-        nms, _ = peak_above_entry(non_max_suppression, raw, direction)
+        blur, _ = _peak_above_entry(smooth, to_masked_gray(image), CannyParams(30, 5, 40))
+        grad, (raw, direction) = _peak_above_entry(gradients, smoothed)
+        nms, _ = _peak_above_entry(non_max_suppression, raw, direction)
         del raw, direction, _
-        detect, _ = peak_above_entry(detect_edges, image, params)
-        early, stopped = peak_above_entry(detect_edges, banded, params, 1000)
+        detect, _ = _peak_above_entry(detect_edges, image, params)
+        early, stopped = _peak_above_entry(detect_edges, banded, params, 1000)
     finally:
         tracemalloc.stop()
     size = smoothed.values.size
@@ -787,6 +816,30 @@ def test_gradients_and_nms_make_no_whole_image_copy():
     assert nms <= 0.2 * size
     assert detect <= 3.4 * size
     assert 1000 <= stopped.height < 1040 and early <= 3.4 * size
+
+
+def test_one_byte_magnitudes_lower_the_detector_peak():
+    # a photo-like cover at sigma 3.0 keeps every magnitude below 256, so each
+    # of gradients' blocks holds one byte a pixel: a whole-image uint16 raw,
+    # 2 B/px, made gradients peak at 2.29 B/px and detect_edges, which then
+    # peaked in gradients, at 3.29. With one-byte blocks the smoothing's phase,
+    # holding the gray, its padded copy and a tie chunk, sets the detector's
+    # peak (2.64 B/px). At thresholds 20/60 the cover has few weak pixels, so
+    # hysteresis stays below both.
+    image = RgbImage(_photo_like(np.random.default_rng(5), 2048))
+    params = CannyParams(30, 20, 60)
+    smoothed = smooth(to_masked_gray(image), params)
+    tracemalloc.start()
+    try:
+        grad, (raw, _) = _peak_above_entry(gradients, smoothed)
+        assert {block.dtype for block in raw} == {np.dtype(np.uint8)}
+        del raw, _
+        detect, _ = _peak_above_entry(detect_edges, image, params)
+    finally:
+        tracemalloc.stop()
+    size = smoothed.values.size
+    assert grad <= 1.4 * size
+    assert detect <= 2.7 * size
 
 
 # ------------------------------------------------------------ row bands
@@ -839,7 +892,7 @@ def test_banded_stages_equal_one_band(monkeypatch, width, height, rows, tenths):
         g = gray.copy()
         nested = non_max_suppression(*gradients(smooth(GrayImage(g), params)))
         assert np.array_equal(nested, thinned) and np.shares_memory(nested, g)
-        return (gray, smoothed.values, raw, direction, thinned,
+        return (gray, smoothed.values, _magnitudes(raw), direction, thinned,
                 detect_edges(image, params).membership)
 
     with monkeypatch.context() as patch:
@@ -898,9 +951,9 @@ def test_nms_stops_at_the_first_weak_free_row_below_the_strong_count():
     params = CannyParams(10, 10, 50)
     raw = np.array([[255] * 8, [50] * 4 + [10] * 4, [10] * 8, [49] * 8, [9] * 8, [10] * 8],
                    dtype=np.uint16)
-    whole = non_max_suppression(raw, np.zeros(raw.shape, dtype=np.uint8))
+    whole = non_max_suppression([raw], np.zeros(raw.shape, dtype=np.uint8))
     for need, rows in ((0, 1), (1, 5), (4, 5), (5, 6)):
-        thinned = non_max_suppression(raw, np.zeros(raw.shape, dtype=np.uint8), params, need)
+        thinned = non_max_suppression([raw], np.zeros(raw.shape, dtype=np.uint8), params, need)
         assert np.array_equal(thinned, whole[:rows]), need
 
 
@@ -963,11 +1016,12 @@ def test_early_stop_rescales_against_the_whole_image_peak():
     raw, direction = gradients(smooth(to_masked_gray(image), params))
     stopped = non_max_suppression(raw, direction.copy(), params, need)
     n = len(stopped)
+    raw = _magnitudes(raw)
     assert n < canny._BLOCK_PIXELS // 1024 < np.argmax(raw) // 1024
     # rows 0..n-1 of the reference read rows 0..n alone
     reference = oracles.nms_reference(oracles.rescale_reference(raw)[: n + 1], direction[: n + 1])
     assert np.array_equal(stopped, reference[:n])
-    assert np.array_equal(stopped, non_max_suppression(raw, direction)[:n])
+    assert np.array_equal(stopped, non_max_suppression([raw], direction)[:n])
     assert _rows_of_an_early_stop(image, params, need) == n
 
 

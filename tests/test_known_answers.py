@@ -5,12 +5,14 @@ change that moves carriers consistently. These digests can: two seeded
 covers crossed with the acceptance suite's four parameter sets, each with
 the digest of its packed edge map and of ``write_bmp(embed(...))`` for a
 fixed payload; two taller covers whose heights are not a multiple of the
-detector's row block; for each of these, the digest of every stage's
-output, recorded from the references in ``oracles.py`` and checked in
-pipeline order, so that a failure names the first stage that diverged;
-the digests of the Gaussian taps for every sigma; and a committed carrier
-file that must keep extracting to its payload. A refactor must leave every
-digest unchanged. The last test runs all of this again, once per row of
+detector's row block; 300 x 700 covers that cross ten seams between blocks
+of magnitudes, one of them mixing one- and two-byte blocks; for each
+of these, the digest of every stage's output, recorded from the references
+in ``oracles.py`` and checked in pipeline order, so that a failure names
+the first stage that diverged; the digests of the Gaussian taps for every
+sigma; and a committed carrier file that must keep extracting to its
+payload. A refactor must leave every digest unchanged. The last test runs
+all of this but the seam covers' references again, once per row of
 OpenBLAS sgemm kernel and numpy SIMD targets switched off (from the generic
 kernel with every target off up to AVX2 with FMA), as a stand-in for a
 receiver on another CPU, together with the masked-gray, smoothing, Sobel,
@@ -141,6 +143,51 @@ def test_known_answer_across_row_blocks(width, height, tenths):
     assert _digests(cover, params) == TALL_VECTORS[width, height, tenths]
 
 
+# (cover kind, sigma in tenths) -> (edge map digest, carrier BMP digest), low/high
+# thresholds 5/40, on SEAM_SIZE covers: at that width gradients' row blocks,
+# which NMS works through one by one, are 64 rows, so the covers cross ten
+# seams. "ramp" is _tall_cover; "step" is _step_cover, whose one-byte
+# magnitude blocks above the step meet two-byte ones on it.
+SEAM_SIZE = (300, 700)
+SEAM_VECTORS = {
+    ("ramp", 10): (
+        "aa2d816b3d2b05fb9a802987b8ca70e81c9d6b610886a67c769a8449a47a7baf",
+        "27eac253ee2891d80bae4b1f0840f2747bdf3a260d87139b54a9fd49d91cf60a",
+    ),
+    ("step", 10): (
+        "cf7ea1dfcfa86953f4d1bcf4b68c27ecbb16aa4973a7c01db0b70b7416667c73",
+        "c6be84ae82772dbd70f18b9cb0cb3b708e77afd52fdb7f486b1520c4a1406d45",
+    ),
+    ("step", 30): (
+        "45a2921ddc30b9641eb66f9b883af13ae175ee5753c15eae6170d9d435b2aaac",
+        "b7e889550e500dcd6592562a45ffbb5293e9d72bbb202cf1d50c9f6bd8ba9a71",
+    ),
+}
+
+
+def _step_cover(width, height):
+    """A flat gray with a +40 box and mild noise over a full-contrast step."""
+    rng = np.random.default_rng(width + height)
+    image = 120 + rng.integers(0, 12, (height, width, 3))
+    y0, x0 = int(rng.integers(80, 200)), int(rng.integers(20, width // 2))
+    image[y0 : y0 + 200, x0 : x0 + 100] += 40
+    step, half = height * 3 // 5, width // 2
+    image[step:, :half] = rng.integers(0, 8, (height - step, half, 3))
+    image[step:, half:] = 255 - rng.integers(0, 8, (height - step, width - half, 3))
+    return RgbImage(image.astype(np.uint8))
+
+
+@pytest.mark.parametrize("kind,tenths", sorted(SEAM_VECTORS))
+def test_known_answer_across_magnitude_and_nms_blocks(kind, tenths):
+    _assert_stages((kind, tenths))
+    cover, params = _stage_input((kind, tenths))
+    raw, _ = gradients(smooth(to_masked_gray(cover), params))
+    assert {len(block) for block in raw[:-1]} == {64}
+    if kind == "step":
+        assert {block.dtype for block in raw} == {np.dtype(np.uint8), np.dtype(np.uint16)}
+    assert _digests(cover, params) == SEAM_VECTORS[kind, tenths]
+
+
 # Per-stage known answers for the same covers and parameters: the SHA-256 of
 # each stage's output, recorded from the brute-force references in oracles.py,
 # not from the package. The tests above check them first, in pipeline order,
@@ -233,10 +280,35 @@ STAGE_DIGESTS = {
         "1e8b4d3fdd19d538775ebeeece93540ea0a9807013c032de761508053f4f726c",
         "af13e84ecf13d8a0260f2e75c3b4ce70f68f147a4cefb73f8297408fe1b550d1",
     ),
+    ("ramp", 10): (
+        "1c86dd4632107fbb38e2c7b9d46b25ecb3bc49bc94c7f06bb2fdd900c54c5892",
+        "68be1fbd23983fc0e4ab21dcc7cd14b20124315324538379f9af106d0668abc4",
+        "497cf4cd1121f9fb1141213ce5a76ce9464b90a61f3ae27d4c67d1f54a575bb8",
+        "12ee9b99e26834ee7fc75881aa136788e0cc0ef7c1f41d4ac5a13a5ba215b467",
+        "aa2d816b3d2b05fb9a802987b8ca70e81c9d6b610886a67c769a8449a47a7baf",
+    ),
+    ("step", 10): (
+        "570bd7ca6b344daf38f02f1609e11b7823d682f69371e1f293dd1adf5e7f4c33",
+        "fbf5c28a4ac65e906d5d512f83c87eeab64462c8bd45088263cd816fbbfcfe76",
+        "5e7fee603eac87602c73ca6d1e9e1182226d8dc9e3336009bb78fffabbc153e3",
+        "49b5c03bc658378d34b17f46221b436248ad1e9d2ebcb065ea2d4adf0f45662a",
+        "cf7ea1dfcfa86953f4d1bcf4b68c27ecbb16aa4973a7c01db0b70b7416667c73",
+    ),
+    ("step", 30): (
+        "570bd7ca6b344daf38f02f1609e11b7823d682f69371e1f293dd1adf5e7f4c33",
+        "f6cad094fd3b811cffcffd5bfabfc61c9470dcd955fd06583862fd73186ab38e",
+        "e2c75a250c97f3682ce16571da76209ff9cfe2764380ec762ee6d70a10b2f43b",
+        "b9fd6f151b07d09ea03fef1e95198fc4cab547a4a1da7e78518a691c55330609",
+        "45a2921ddc30b9641eb66f9b883af13ae175ee5753c15eae6170d9d435b2aaac",
+    ),
 }
 
 
 def _stage_input(key):
+    if key in SEAM_VECTORS:
+        kind, tenths = key
+        make = _tall_cover if kind == "ramp" else _step_cover
+        return make(*SEAM_SIZE), CannyParams(tenths, 5, 40)
     if len(key) == 2:
         seed, index = key
         return _cover(seed), PARAM_SETS[index]
@@ -258,7 +330,7 @@ def _stage_digests(cover, params):
     smoothed = smooth(gray, params)
     digests.append(_stage_hash(smoothed.values))
     raw, direction = gradients(smoothed)
-    digests.append(_stage_hash(oracles.rescale_reference(raw), direction))
+    digests.append(_stage_hash(oracles.rescale_reference(np.concatenate(raw)), direction))
     thinned = non_max_suppression(raw, direction)
     digests.append(_stage_hash(thinned))
     digests.append(_stage_hash(np.packbits(hysteresis(thinned, params).membership)))
@@ -288,7 +360,14 @@ def _assert_stages(key):
 
 def test_stage_digests_are_the_references():
     for key, digests in STAGE_DIGESTS.items():
-        assert _reference_stage_digests(*_stage_input(key)) == digests, key
+        if key not in SEAM_VECTORS:
+            assert _reference_stage_digests(*_stage_input(key)) == digests, key
+
+
+# apart, since the references take about 3 s on each of these covers
+@pytest.mark.parametrize("key", sorted(SEAM_VECTORS))
+def test_seam_stage_digests_are_the_references(key):
+    assert _reference_stage_digests(*_stage_input(key)) == STAGE_DIGESTS[key]
 
 
 # sigma in tenths -> SHA-256 of the little-endian float64 bytes of the
@@ -356,8 +435,11 @@ def test_known_answers_hold_without_numpy_simd_kernels(coretype, core, needs, ke
     # row's and force OpenBLAS's kernel for the row's core, and the rest of
     # this module must still pass unchanged, and so must the tests of every
     # stage that computes in float32 on loops and BLAS products of their own:
-    # the masked gray's product and division, the smoothing sums and the
-    # gradients' root
+    # the masked gray's product and scaling, the smoothing sums and the
+    # gradients' root. Only the check of the seam covers' stage digests
+    # against the references stays in this process: it runs no package code,
+    # and the references' scalar loops take longer there than the rest of
+    # the module.
     from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
 
     missing = [feature for feature in needs if not __cpu_features__.get(feature)]
@@ -373,7 +455,8 @@ def test_known_answers_hold_without_numpy_simd_kernels(coretype, core, needs, ke
     child = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", __file__,
          str(Path(__file__).with_name("test_canny.py")), "-k",
-         "not test_known_answers_hold_without_numpy_simd_kernels"
+         "not (test_known_answers_hold_without_numpy_simd_kernels"
+         " or test_seam_stage_digests_are_the_references)"
          " and (test_known_answers.py or masked_gray or smooth or sobel or gradient"
          " or root or direction)"],
         cwd=Path(__file__).parents[1], env=env, capture_output=True, text=True,
